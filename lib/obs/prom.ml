@@ -70,8 +70,10 @@ let render ?registry () =
         List.iteri
           (fun i n ->
             cum := !cum + n;
-            (* bucket i of the log2 histogram holds values < 2^i *)
-            line "%s_bucket{le=\"%.0f\"} %d\n" p (Float.pow 2.0 (float_of_int i))
+            (* bucket i of the log2 histogram holds values v with
+               2^i <= v+1 < 2^(i+1), so its largest value is 2^(i+1) - 2 *)
+            line "%s_bucket{le=\"%.0f\"} %d\n" p
+              (Float.pow 2.0 (float_of_int (i + 1)) -. 2.0)
               !cum)
           buckets;
         let count = int_field "count" in

@@ -6,8 +6,9 @@
     and sanitized to the Prometheus grammar ([core.cache.hits] becomes
     [satpg_core_cache_hits_total]).  Counters gain the conventional
     [_total] suffix; gauges are emitted as-is; log2 histograms are
-    exported as cumulative [_bucket{le="..."}] series (upper bound
-    [2^i]) plus [_sum] and [_count].
+    exported as cumulative [_bucket{le="..."}] series plus [_sum] and
+    [_count]; bucket [i] holds the integers [2^i - 1 .. 2^(i+1) - 2], so
+    its bound is [le="2^(i+1) - 2"] (0, 2, 6, 14, ...).
 
     The output is what `satpg serve` answers on [GET /metrics]. *)
 

@@ -144,6 +144,9 @@ let eliminate net ~value =
 
 (* A divisor candidate is a conjunction of >= 2 literals, represented as a
    sorted list of (signal, polarity). *)
+let compare_lit ((s, p) : int * bool) (t, q) =
+  if s <> t then Int.compare s t else Bool.compare p q
+
 let cube_literals fanins c =
   let acc = ref [] in
   Array.iteri
@@ -153,25 +156,41 @@ let cube_literals fanins c =
       | 1 -> acc := (s, false) :: !acc
       | _ -> ())
     fanins;
-  List.sort compare !acc
+  List.sort compare_lit !acc
 
+(* The literals two sorted literal lists share, in order. *)
 let rec common_prefix a b =
   match a, b with
   | [], _ | _, [] -> []
   | x :: xs, y :: ys ->
-    if x = y then x :: common_prefix xs ys
-    else if x < y then common_prefix xs (y :: ys)
+    let d = compare_lit x y in
+    if d = 0 then x :: common_prefix xs ys
+    else if d < 0 then common_prefix xs (y :: ys)
     else common_prefix (x :: xs) ys
+
+(* Is every literal of [cand] in [lits]?  Both sorted and duplicate-free. *)
+let rec divides cand lits =
+  match cand, lits with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: xs, y :: ys ->
+    let d = compare_lit x y in
+    if d = 0 then divides xs ys else d > 0 && divides cand ys
 
 (* One extraction round: find the best common-cube divisor and introduce a
    node for it.  Returns true if something was extracted. *)
 let extract_one net =
+  (* literal lists of every live cube, indexed by node; computed once per
+     round and shared by the candidate scan, the counts and the rewrite *)
+  let node_lits = Array.make net.Network.count [] in
+  Network.iter_live net (fun i n ->
+      node_lits.(i) <-
+        List.map (cube_literals n.Network.fanins)
+          n.Network.cover.Twolevel.Cover.cubes);
+  let all_lits = List.concat (Array.to_list node_lits) in
   let candidates = Hashtbl.create 257 in
-  Network.iter_live net (fun _ n ->
-      let lits =
-        List.map (cube_literals n.Network.fanins) n.Network.cover.Twolevel.Cover.cubes
-      in
-      let arr = Array.of_list lits in
+  Network.iter_live net (fun i _ ->
+      let arr = Array.of_list node_lits.(i) in
       let m = Array.length arr in
       if m <= 24 then
         for i = 0 to m - 1 do
@@ -182,19 +201,15 @@ let extract_one net =
           done
         done);
   (* count how many cubes each candidate divides, across the network *)
-  let divides cand lits =
-    List.for_all (fun l -> List.mem l lits) cand
-  in
   let best = ref None in
   Hashtbl.iter
     (fun cand () ->
-      let occ = ref 0 in
-      Network.iter_live net (fun _ n ->
-          List.iter
-            (fun c ->
-              if divides cand (cube_literals n.Network.fanins c) then incr occ)
-            n.Network.cover.Twolevel.Cover.cubes);
-      let gain = (!occ - 1) * (List.length cand - 1) in
+      let occ =
+        List.fold_left
+          (fun k lits -> if divides cand lits then k + 1 else k)
+          0 all_lits
+      in
+      let gain = (occ - 1) * (List.length cand - 1) in
       match !best with
       | Some (_, g) when g >= gain -> ()
       | _ -> if gain > 0 then best := Some (cand, gain))
@@ -218,20 +233,15 @@ let extract_one net =
     (* rewrite every dividing cube *)
     Network.iter_live net (fun di n ->
         if Network.signal_of_node net di <> sdiv then begin
-          let any =
-            List.exists
-              (fun c -> divides cand (cube_literals n.Network.fanins c))
-              n.Network.cover.Twolevel.Cover.cubes
-          in
-          if any then begin
+          let cube_lits = node_lits.(di) in
+          if List.exists (divides cand) cube_lits then begin
             let merged = array_union n.Network.fanins [| sdiv |] in
             let knew = Array.length merged in
             if knew <= Twolevel.Cube.max_vars then begin
               let pos_of = Hashtbl.create 17 in
               Array.iteri (fun j s -> Hashtbl.replace pos_of s j) merged;
               let div_pos = Hashtbl.find pos_of sdiv in
-              let rewrite c =
-                let lits = cube_literals n.Network.fanins c in
+              let rewrite lits =
                 let remapped = ref (Twolevel.Cube.full knew) in
                 let put (s, pol) =
                   remapped :=
@@ -255,7 +265,7 @@ let extract_one net =
               n.Network.fanins <- merged;
               n.Network.cover <-
                 Twolevel.Cover.make knew
-                  (List.map rewrite n.Network.cover.Twolevel.Cover.cubes)
+                  (List.map rewrite cube_lits)
             end
           end
         end);

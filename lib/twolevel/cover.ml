@@ -32,37 +32,46 @@ let cofactor f p =
   in
   { f with cubes }
 
-(* Count positive/negative literal occurrences of each variable. *)
+(* Count positive/negative literal occurrences of each variable, visiting
+   only the literal fields of each cube (four empty fields at a time). *)
 let literal_counts f =
   let pos = Array.make f.n 0 and neg = Array.make f.n 0 in
-  List.iter
-    (fun c ->
-      for i = 0 to f.n - 1 do
-        match Cube.get_lit c i with
-        | 2 -> pos.(i) <- pos.(i) + 1
-        | 1 -> neg.(i) <- neg.(i) + 1
-        | _ -> ()
-      done)
-    f.cubes;
+  let rec go p i =
+    if p <> 0 then
+      if p land 0xff = 0 then go (p lsr 8) (i + 4)
+      else begin
+        if p land 2 <> 0 then pos.(i) <- pos.(i) + 1
+        else if p land 1 <> 0 then neg.(i) <- neg.(i) + 1;
+        go (p lsr 2) (i + 1)
+      end
+  in
+  List.iter (fun c -> go (Cube.polarity_bits f.n c) 0) f.cubes;
   (pos, neg)
 
 (* Most binate variable: maximize min(pos,neg), tie-break on total; if the
    cover is unate, the variable with the most occurrences.  None if no cube
-   has any literal (cover is empty or a single full cube). *)
-let branch_var f =
+   has any literal (cover is empty or a single full cube).  The flag says
+   whether the cover is binate in the chosen variable, i.e. anywhere. *)
+let select f =
   let pos, neg = literal_counts f in
-  let best = ref (-1) and best_key = ref (-1, -1) in
+  let best = ref (-1) and best_min = ref (-1) and best_total = ref (-1) in
   for i = 0 to f.n - 1 do
     let p = pos.(i) and q = neg.(i) in
-    if p + q > 0 then begin
-      let key = (min p q, p + q) in
-      if key > !best_key then begin
-        best_key := key;
-        best := i
-      end
+    let total = p + q and m = min p q in
+    if total > 0
+       && (m > !best_min || (m = !best_min && total > !best_total))
+    then begin
+      best := i;
+      best_min := m;
+      best_total := total
     end
   done;
-  if !best < 0 then None else Some !best
+  if !best < 0 then None else Some (!best, !best_min > 0)
+
+let branch_var f = Option.map fst (select f)
+
+let binate_var f =
+  match select f with Some (v, true) -> Some v | _ -> None
 
 let pos_cube n v = Cube.set_lit (Cube.full n) v Cube.lit_pos
 let neg_cube n v = Cube.set_lit (Cube.full n) v Cube.lit_neg

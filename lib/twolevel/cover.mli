@@ -33,6 +33,10 @@ val literal_counts : t -> int array * int array
 (** Most binate variable, or [None] when no cube has a literal. *)
 val branch_var : t -> int option
 
+(** {!branch_var} when the cover is binate in some variable, [None] when
+    it is unate. *)
+val binate_var : t -> int option
+
 val pos_cube : int -> int -> Cube.t
 val neg_cube : int -> int -> Cube.t
 

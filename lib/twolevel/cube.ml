@@ -37,14 +37,35 @@ let of_masks n ~care ~value =
 
 let intersect a b = a land b
 
+(* [low.(n)] has the low bit (bit 2i) of each of the [n] fields set.  The
+   whole-word kernels below fold a field's two bits onto its low bit and
+   mask: [c lor (c lsr 1)] is 1 there iff the field is non-empty,
+   [c lxor (c lsr 1)] iff it is a literal (01 or 10).  Bits of the next
+   field that the shift brings down land on high bits, which the mask drops. *)
+let low =
+  Array.init (max_vars + 1) (fun n ->
+      let m = ref 0 in
+      for i = 0 to n - 1 do
+        m := !m lor (1 lsl (2 * i))
+      done;
+      !m)
+
+let popcount x =
+  let rec go x k = if x = 0 then k else go (x land (x - 1)) (k + 1) in
+  go x 0
+
+(* The literal fields of [c] as a [low]-aligned bit mask. *)
+let literal_mask n c = (c lxor (c lsr 1)) land low.(n)
+
+(* Bit 2i+1 set iff field i is a positive literal (10), bit 2i iff it is a
+   negative one (01): each field ANDed with the complement of its swap. *)
+let polarity_bits n c =
+  let l = low.(n) in
+  let swapped = ((c lsr 1) land l) lor ((c land l) lsl 1) in
+  c land lnot swapped land (l lor (l lsl 1))
+
 (* A cube is empty iff some variable field is 00. *)
-let is_empty n c =
-  let rec loop i =
-    if i >= n then false
-    else if get_lit c i = 0 then true
-    else loop (i + 1)
-  in
-  loop 0
+let is_empty n c = (c lor (c lsr 1)) land low.(n) <> low.(n)
 
 let intersects n a b = not (is_empty n (a land b))
 
@@ -54,13 +75,7 @@ let contains a b = b land a = b
 let supercube a b = a lor b
 
 (* Number of specified literals (smaller cube = more literals). *)
-let num_literals n c =
-  let k = ref 0 in
-  for i = 0 to n - 1 do
-    let l = get_lit c i in
-    if l = lit_pos || l = lit_neg then incr k
-  done;
-  !k
+let num_literals n c = popcount (literal_mask n c)
 
 (* Does the minterm given by bit-mask [point] lie inside the cube? *)
 let member n c point =
@@ -76,13 +91,11 @@ let member n c point =
    literal; general cube cofactor otherwise).  None if disjoint. *)
 let cofactor n c p =
   if is_empty n (c land p) then None
-  else begin
-    let r = ref c in
-    for i = 0 to n - 1 do
-      if get_lit p i <> lit_dc then r := set_lit !r i lit_dc
-    done;
-    Some !r
-  end
+  else
+    (* a non-empty [c land p] leaves no 00 field in [p]: every field that
+       is not don't-care is a literal, and is raised to 11 *)
+    let spec = literal_mask n p in
+    Some (c lor spec lor (spec lsl 1))
 
 let to_string n c =
   String.init n (fun i ->

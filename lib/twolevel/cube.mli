@@ -35,6 +35,13 @@ val supercube : t -> t -> t
 
 val num_literals : int -> t -> int
 
+(** Bit [2i] set iff field [i] of the cube is a literal (01 or 10). *)
+val literal_mask : int -> t -> int
+
+(** Bit [2i+1] set iff field [i] is a positive literal (10), bit [2i] iff
+    it is a negative literal (01). *)
+val polarity_bits : int -> t -> int
+
 (** Does the minterm (bit mask) lie inside the cube? *)
 val member : int -> t -> int -> bool
 

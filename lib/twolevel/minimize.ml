@@ -59,28 +59,61 @@ let irredundant f ~dc =
   in
   { f with Cover.cubes = loop [] f.Cover.cubes }
 
+(* Smallest cube containing the complement of [f], or [None] when [f] is a
+   tautology.  The Shannon recursion of [Cover.complement] on its most
+   binate variable, without building the complement: the supercube of the
+   leaves found so far is carried down, and a subtree whose path cube it
+   already contains cannot enlarge it.
+
+   The recursion stops at unate covers, single cubes included.  A unate
+   cover [u] with no full cube misses the point [x*] that sets every
+   variable against its polarity in [u], and misses [x*] with [v] flipped
+   unless [u] holds the one-literal cube [v].  So the smallest cube
+   containing the complement is the conjunction of the flipped one-literal
+   cubes of [u]: for a single cube, its flipped literal, or the full cube
+   when it has >= 2 literals.  The smallest cube containing a set of
+   minterms is unique, so the result is the supercube of any cover of the
+   complement, [Cover.complement]'s included. *)
+let sccc f =
+  let n = f.Cover.n in
+  let found = ref false and acc = ref 0 in
+  let add c =
+    acc := if !found then Cube.supercube !acc c else c;
+    found := true
+  in
+  let unate_leaf path u =
+    List.fold_left
+      (fun r c ->
+        let m = Cube.literal_mask n c in
+        if m land (m - 1) = 0 then Cube.intersect r (c lxor (m lor (m lsl 1)))
+        else r)
+      path u.Cover.cubes
+  in
+  let rec go f path =
+    if !found && Cube.contains !acc path then ()
+    else if Cover.is_empty f then add path
+    else if Cover.has_full f then ()
+    else
+      match Cover.binate_var f with
+      | None -> add (unate_leaf path f)
+      | Some v ->
+        let p = Cover.pos_cube n v and q = Cover.neg_cube n v in
+        go (Cover.cofactor f p) (Cube.intersect path p);
+        go (Cover.cofactor f q) (Cube.intersect path q)
+  in
+  go f (Cube.full n);
+  if !found then Some !acc else None
+
 (* REDUCE: shrink each cube to the smallest cube still covering the part of
-   the ON-set it alone covers:  c' = c ∩ supercube(complement(cofactor
-   ((F \ c) ∪ D, c))). *)
+   the ON-set it alone covers:  c' = c ∩ sccc(cofactor((F \ c) ∪ D, c)). *)
 let reduce f ~dc =
   let rec loop done_ = function
     | [] -> List.rev done_
     | c :: rest ->
       let others = { f with Cover.cubes = List.rev_append done_ rest } in
-      let ctx = Cover.cofactor (Cover.union others dc) c in
-      let comp = Cover.complement ctx in
-      if Cover.is_empty comp then
-        (* c is fully covered by the others; drop it *)
-        loop done_ rest
-      else begin
-        let sc =
-          List.fold_left
-            (fun acc k -> Cube.supercube acc k)
-            (List.hd comp.Cover.cubes)
-            (List.tl comp.Cover.cubes)
-        in
-        loop (Cube.intersect c sc :: done_) rest
-      end
+      match sccc (Cover.cofactor (Cover.union others dc) c) with
+      | None -> (* c is fully covered by the others; drop it *) loop done_ rest
+      | Some sc -> loop (Cube.intersect c sc :: done_) rest
   in
   { f with Cover.cubes = loop [] f.Cover.cubes }
 

@@ -17,6 +17,10 @@ val expand : Cover.t -> off:Cover.t -> Cover.t
 (** Greedily delete cubes covered by the rest of the cover plus [dc]. *)
 val irredundant : Cover.t -> dc:Cover.t -> Cover.t
 
+(** Smallest cube containing the complement of the cover, or [None] when
+    the cover is a tautology; never builds the complement. *)
+val sccc : Cover.t -> Cube.t option
+
 (** Shrink each cube to the smallest cube still covering what it alone
     covers (classic REDUCE), enabling the next EXPAND to escape local
     minima. *)

@@ -97,6 +97,41 @@ let test_registry () =
   Obs.Metrics.incr c1;
   Alcotest.(check int) "reset keeps handles" 1 (Obs.Metrics.count c2)
 
+(* Every cumulative Prometheus bucket must count exactly the raw
+   observations <= its [le] bound. *)
+let test_prom_buckets () =
+  let r = Obs.Metrics.create () in
+  let h = Obs.Metrics.histogram ~registry:r "lat.us" in
+  let values = [ 0; 0; 1; 2; 3; 5; 6; 7; 13; 14; 15; 30; 100; 1000 ] in
+  List.iter (Obs.Metrics.observe h) values;
+  let prefix = "satpg_lat_us_bucket{le=\"" in
+  let buckets =
+    String.split_on_char '\n' (Obs.Prom.render ~registry:r ())
+    |> List.filter_map (fun line ->
+           if String.starts_with ~prefix line then
+             Scanf.sscanf
+               (String.sub line (String.length prefix)
+                  (String.length line - String.length prefix))
+               "%[^\"]\"} %d"
+               (fun le n -> Some (le, n))
+           else None)
+  in
+  let le_values = List.map fst buckets in
+  Alcotest.(check (list string))
+    "bounds 2^(i+1) - 2, then +Inf"
+    [ "0"; "2"; "6"; "14"; "30"; "62"; "126"; "254"; "510"; "1022"; "+Inf" ]
+    le_values;
+  List.iter
+    (fun (le, n) ->
+      let want =
+        if le = "+Inf" then List.length values
+        else
+          let bound = int_of_string le in
+          List.length (List.filter (fun v -> v <= bound) values)
+      in
+      Alcotest.(check int) ("observations <= " ^ le) want n)
+    buckets
+
 (* --- spans ------------------------------------------------------------------- *)
 
 let test_span_balance () =
@@ -533,6 +568,8 @@ let suite =
     QCheck_alcotest.to_alcotest (test_json_float_property ());
     Alcotest.test_case "json non-finite floats" `Quick test_json_nonfinite;
     Alcotest.test_case "metrics registry" `Quick test_registry;
+    Alcotest.test_case "prometheus buckets match observations" `Quick
+      test_prom_buckets;
     Alcotest.test_case "span nesting and balance" `Quick test_span_balance;
     Alcotest.test_case "chrome trace round-trip" `Quick test_chrome_roundtrip;
     Alcotest.test_case "events rebuild stats (hitec)" `Quick

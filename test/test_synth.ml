@@ -220,6 +220,28 @@ let qcheck_flow_random_fsms =
       Netlist.Check.is_well_formed r.Synth.Flow.circuit
       && circuit_matches_machine r = 0)
 
+(* Synthesis output pinned to structural hashes: any change to what the
+   scripts, the minimizer or the mapper produce fails here, not only in
+   downstream numbers.  The circuit is the [original] of [Core.Flow.build],
+   synthesized by the same call without the retiming that follows it. *)
+let test_golden_synthesis_hashes () =
+  List.iter
+    (fun (fsm, algorithm, script, want) ->
+      let entry = Fsm.Benchmarks.find fsm in
+      let r =
+        Synth.Flow.synthesize ~reset_line:entry.Fsm.Benchmarks.has_reset_line
+          ~algorithm ~script (Fsm.Benchmarks.machine entry)
+      in
+      Alcotest.(check string) r.Synth.Flow.name want
+        (Netlist.Structhash.circuit r.Synth.Flow.circuit))
+    Synth.Assign.
+      [
+        ("pma", Input_dominant, Synth.Flow.Rugged, "faf86647828ac672");
+        ("dk16", Input_dominant, Synth.Flow.Delay, "28aa055c2c44e829");
+        ("s510", Combined, Synth.Flow.Rugged, "bbfa187ba2cb3661");
+        ("scf", Input_dominant, Synth.Flow.Rugged, "2a1f750eb2180cf6");
+      ]
+
 let suite =
   [
     Alcotest.test_case "state minimization behaviour" `Quick
@@ -237,4 +259,6 @@ let suite =
     Alcotest.test_case "mapping objectives" `Quick
       test_delay_objective_not_slower;
     qcheck_flow_random_fsms;
+    Alcotest.test_case "golden synthesis hashes" `Quick
+      test_golden_synthesis_hashes;
   ]

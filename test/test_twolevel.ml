@@ -81,6 +81,95 @@ let qcheck_espresso_no_growth =
       Twolevel.Cover.size r
       <= Twolevel.Cover.size (Twolevel.Cover.drop_contained on))
 
+(* --- whole-word kernels at full width --------------------------------------
+
+   Cubes over [w] variables built field by field, so that empty (00) fields
+   occur; each kernel is checked against a per-field loop. *)
+
+let wide = Twolevel.Cube.max_vars
+
+let gen_fields ?(empty = 0) ~lit w =
+  QCheck2.Gen.(
+    let field =
+      frequency [ (empty, return 0); (lit, return 1); (lit, return 2); (100, return 3) ]
+    in
+    let* fields = list_size (return w) field in
+    return (List.fold_left (fun c f -> (c lsl 2) lor f) 0 fields))
+
+let field c i = (c lsr (2 * i)) land 3
+
+let ref_is_empty w c = List.exists (fun i -> field c i = 0) (List.init w Fun.id)
+
+let ref_num_literals w c =
+  List.length (List.filter (fun i -> field c i = 1 || field c i = 2) (List.init w Fun.id))
+
+let ref_cofactor w c p =
+  if ref_is_empty w (c land p) then None
+  else
+    Some
+      (List.fold_left
+         (fun r i -> if field p i <> 3 then r lor (3 lsl (2 * i)) else r)
+         c (List.init w Fun.id))
+
+let qcheck_kernels_full_width =
+  Helpers.qcheck_case ~count:500 "cube kernels = per-field loops (30 vars)"
+    QCheck2.Gen.(pair (gen_fields ~empty:1 ~lit:20 wide) (gen_fields ~empty:1 ~lit:5 wide))
+    (fun (a, b) ->
+      Twolevel.Cube.is_empty wide a = ref_is_empty wide a
+      && Twolevel.Cube.is_empty wide b = ref_is_empty wide b
+      && Twolevel.Cube.intersects wide a b = not (ref_is_empty wide (a land b))
+      && Twolevel.Cube.num_literals wide a = ref_num_literals wide a
+      && Twolevel.Cube.cofactor wide a b = ref_cofactor wide a b
+      && Twolevel.Cube.cofactor wide b a = ref_cofactor wide b a)
+
+(* Literal counts and the branching variable, against a per-field count and
+   the lexicographic choice of the largest (min, total) key, first wins. *)
+let qcheck_branch_var_full_width =
+  Helpers.qcheck_case ~count:200 "literal counts and branch variable (30 vars)"
+    QCheck2.Gen.(list_size (int_range 0 12) (gen_fields ~lit:10 wide))
+    (fun cubes ->
+      let f = Twolevel.Cover.make wide cubes in
+      let count l =
+        Array.init wide (fun i ->
+            List.length (List.filter (fun c -> field c i = l) f.Twolevel.Cover.cubes))
+      in
+      let pos = count 2 and neg = count 1 in
+      let best = ref None in
+      Array.iteri
+        (fun i p ->
+          let q = neg.(i) in
+          let key = (min p q, p + q) in
+          if p + q > 0 then
+            match !best with
+            | Some (_, k) when k >= key -> ()
+            | _ -> best := Some (i, key))
+        pos;
+      Twolevel.Cover.literal_counts f = (pos, neg)
+      && Twolevel.Cover.branch_var f = Option.map fst !best
+      && Twolevel.Cover.binate_var f
+         = (match !best with Some (i, (m, _)) when m > 0 -> Some i | _ -> None))
+
+(* [sccc] against its definition: the supercube of the complement that
+   [Cover.complement] builds, [None] exactly when that complement is empty. *)
+let sccc_matches_complement f =
+  let oracle =
+    match (Twolevel.Cover.complement f).Twolevel.Cover.cubes with
+    | [] -> None
+    | c :: cs -> Some (List.fold_left Twolevel.Cube.supercube c cs)
+  in
+  Twolevel.Minimize.sccc f = oracle
+
+let qcheck_sccc =
+  Helpers.qcheck_case ~count:500 "sccc = supercube of the complement (6 vars)"
+    (gen_cover 10) sccc_matches_complement
+
+let qcheck_sccc_full_width =
+  Helpers.qcheck_case ~count:200 "sccc = supercube of the complement (30 vars)"
+    QCheck2.Gen.(
+      map (Twolevel.Cover.make wide)
+        (list_size (int_range 0 8) (gen_fields ~lit:8 wide)))
+    sccc_matches_complement
+
 let test_espresso_classic () =
   (* f = a'b + ab + ab' should reduce to a + b *)
   let on =
@@ -119,6 +208,10 @@ let suite =
     qcheck_tautology;
     qcheck_espresso_equivalent;
     qcheck_espresso_no_growth;
+    qcheck_kernels_full_width;
+    qcheck_branch_var_full_width;
+    qcheck_sccc;
+    qcheck_sccc_full_width;
     Alcotest.test_case "espresso textbook example" `Quick test_espresso_classic;
     Alcotest.test_case "espresso exploits don't cares" `Quick test_dc_exploited;
   ]
