@@ -242,11 +242,12 @@ let retimed_flag =
 let synth_cmd =
   let run () obs fsm alg script =
     with_obs ~command:"synth" obs @@ fun () ->
-    let p = Core.Flow.pair fsm alg script in
-    Fmt.pr "%s: %a@." p.Core.Flow.name Netlist.Node.pp_summary p.Core.Flow.original;
-    Fmt.pr "  %a@." Netlist.Stats.pp (Netlist.Stats.of_circuit p.Core.Flow.original);
-    Fmt.pr "  state bits: %d, machine states: %d@." p.Core.Flow.synth.Synth.Flow.bits
-      (Fsm.Machine.num_states p.Core.Flow.synth.Synth.Flow.machine)
+    let r = Core.Flow.synthesize fsm alg script in
+    let c = r.Synth.Flow.circuit in
+    Fmt.pr "%s: %a@." r.Synth.Flow.name Netlist.Node.pp_summary c;
+    Fmt.pr "  %a@." Netlist.Stats.pp (Netlist.Stats.of_circuit c);
+    Fmt.pr "  state bits: %d, machine states: %d@." r.Synth.Flow.bits
+      (Fsm.Machine.num_states r.Synth.Flow.machine)
   in
   Cmd.v (Cmd.info "synth" ~doc:"Synthesize a benchmark FSM")
     Term.(const run $ logging $ obs_args $ fsm_arg $ algorithm_arg $ script_arg)

@@ -59,6 +59,16 @@
    E ∩ DFFs = ∅: then the faulty machine's state equals the good
    machine's state at every cycle and never leaves the reachable set.
 
+   Prefilter (in front of C3 and C4): before the per-fault BDD stages
+   run, every fault goes through 4×128 seeded random vectors on the
+   word-parallel fault simulator.  A fault some vector detects is
+   testable, so a sound stage could only answer "unknown" for it; C3 and
+   C4 are skipped for it and spent on the random-resistant residue,
+   where the undetectable faults live.  Stages A–C2 run first and are
+   unaffected.  The prefilter runs whenever C3 or C4 can: after a
+   completed reachability pass, or with the product stage on even when
+   reachability ran out of nodes.
+
    The symbolic stage is budgeted: {!Bdd.Node_limit} (at exploration or
    during any later oracle query) degrades the whole stage to "unknown",
    never to a wrong verdict.
@@ -258,15 +268,19 @@ let structurally_observable c =
    the exploration and every constant query inside a single Node_limit
    guard; per-fault C1/C2 classification is then pure array lookups. *)
 let symbolic_env ~max_nodes c =
-  match Symreach.explore ~max_nodes c with
-  | r ->
+  (* the constant queries allocate in the exploration's manager too, so
+     they sit inside the same guard *)
+  match
+    let r = Symreach.explore ~max_nodes c in
     let n = Netlist.Node.num_nodes c in
     let rc = Array.make n None in
     for id = 0 to n - 1 do
       if not (Symreach.can_take r id true) then rc.(id) <- Some false
       else if not (Symreach.can_take r id false) then rc.(id) <- Some true
     done;
-    Some (r, rc)
+    (r, rc)
+  with
+  | env -> Some env
   | exception (Bdd.Node_limit | Invalid_argument _) -> None
 
 let reachable_constants ~max_nodes c =
@@ -496,14 +510,14 @@ let product_undetectable ~max_nodes ~work c (f : Fsim.Fault.t) =
   | Detectable -> false
   | Bdd.Node_limit | Invalid_argument _ -> false
 
-(* Prefilter for C4: word-parallel random fault simulation (fixed seed,
-   so classification stays deterministic).  Any fault some random
-   sequence detects is testable — its exact check could only come back
-   "detectable" — so the expensive product-machine stage is spent on the
-   hard residue only: random-resistant faults, which is exactly where
-   the undetectable ones live.  Unsound in neither direction: detection
-   here yields [Unknown] (correct for a testable fault), and undetected
-   faults still get the full exact check. *)
+(* Prefilter for C3 and C4: word-parallel random fault simulation
+   (fixed seed, so classification stays deterministic).  Any fault some
+   random sequence detects is testable — a sound check could only come
+   back "unknown" or "detectable" for it — so the per-fault BDD stages
+   are spent on the hard residue only: random-resistant faults, which
+   is exactly where the undetectable ones live.  Unsound in neither
+   direction: detection here yields [Unknown] (correct for a testable
+   fault), and undetected faults still get the full checks. *)
 let presimulate ~work c faults =
   let rng = Random.State.make [| 0x9e37; Netlist.Node.num_nodes c |] in
   let detected = Array.make (Array.length faults) false in
@@ -532,10 +546,14 @@ type env = {
   sharper : bool;
   single_frame_live : bool ref;
       (* cleared on the first Node_limit inside C3: the shared manager
-         is full, so later single-frame checks would only fail again *)
+         is full, so later single-frame checks would only fail again.
+         Prefiltered faults never reach C3, so the manager holds a
+         subset of the nodes it would hold without the prefilter and the
+         latch can only fire later: skipping can add proofs, never lose
+         one. *)
   product_nodes : int;  (* per-fault C4 budget; 0 disables the stage *)
   presim_detected : bool array;
-      (* C4 prefilter: faults random simulation already detects *)
+      (* C3/C4 prefilter: faults random simulation already detects *)
   work : int ref;
 }
 
@@ -569,7 +587,8 @@ let classify_fault env i (f : Fsim.Fault.t) =
           in
           (not (po_hit env.c e)) && not (dff_hit env.c e)
         then Untestable { cause = Effect_confined; evidence = Symbolic }
-        else if !(env.single_frame_live) then begin
+        else if (not env.presim_detected.(i)) && !(env.single_frame_live)
+        then begin
           match single_frame_confined r ~work:env.work f with
           | true -> Untestable { cause = Effect_confined; evidence = Symbolic }
           | false -> Unknown
@@ -627,21 +646,26 @@ let classify ?(symbolic = true) ?(max_nodes = Symreach.default_max_nodes)
         rc;
       !s
   in
+  (* C4 rides on the symbolic opt-in: static-only classification must
+     stay BDD-free.  A tenth of the reachable-set budget per fault: the
+     pair space squares the state space, so a fault that needs more nodes
+     than that is almost always a blow-up, and blow-ups cost wall time
+     proportional to the budget — per-fault, across potentially
+     thousands of faults. *)
+  let product_nodes =
+    if symbolic && product then max 1 (max_nodes / 10) else 0
+  in
+  (* The prefilter fronts every per-fault BDD stage: C3 when reachability
+     completed, C4 when the product stage is on — the latter even when
+     reachability hit its node limit and C3 cannot run. *)
+  let presim_detected =
+    if reach <> None || product_nodes > 0 then
+      Obs.Trace.span "untest.presim" (fun () -> presimulate ~work c faults)
+    else Array.make (Array.length faults) false
+  in
   let env =
     { c; sobs; values; has_consts; reach; sharper;
-      single_frame_live = ref true;
-      (* C4 rides on the symbolic opt-in: static-only classification
-         must stay BDD-free.  A tenth of the reachable-set budget per
-         fault: the pair space squares the state space, so a fault that
-         needs more nodes than that is almost always a blow-up, and
-         blow-ups cost wall time proportional to the budget — per-fault,
-         across potentially thousands of faults. *)
-      product_nodes = (if symbolic && product then max 1 (max_nodes / 10) else 0);
-      presim_detected =
-        (if symbolic && product then
-           Obs.Trace.span "untest.presim" (fun () -> presimulate ~work c faults)
-         else Array.make (Array.length faults) false);
-      work }
+      single_frame_live = ref true; product_nodes; presim_detected; work }
   in
   let verdicts = Array.mapi (classify_fault env) faults in
   let count p = Array.fold_left (fun a v -> if p v then a + 1 else a) 0 verdicts in

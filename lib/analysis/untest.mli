@@ -56,7 +56,9 @@ val v :
 (** Classify [faults] (default: the engines' collapsed list,
     {!Fsim.Collapse.list}).  [symbolic:false] skips the BDD stages;
     [max_nodes] is the BDD budget (default
-    {!Symreach.default_max_nodes}).  [product:true] (requires the
+    {!Symreach.default_max_nodes}).  Whenever a per-fault BDD stage can
+    run, faults that {!presimulate} detects skip it (they are testable,
+    so the stage could not prove them).  [product:true] (requires the
     symbolic stage) additionally runs the exact product-machine check on
     every fault the cheaper stages leave unknown — complete for
     single-stuck-at sequential redundancy but the most expensive stage
@@ -89,6 +91,13 @@ val prune : t -> Fsim.Fault.t -> bool
     retiming-comparable fingerprint used by [satpg classify --check]
     (gate/PI names are stable across retiming; node ids are not). *)
 val proved_names : Netlist.Node.t -> t -> string list
+
+(** The prefilter of the per-fault BDD stages: 4×128 random vectors
+    from a seed fixed per circuit, fault-simulated with dropping.
+    [(presimulate ~work c faults).(i)] is [true] when some vector
+    detects [faults.(i)], which makes it testable.  Adds the simulated
+    cycles to [work]. *)
+val presimulate : work:int ref -> Netlist.Node.t -> Fsim.Fault.t array -> bool array
 
 (** Exposed for tests: the per-line constants implied by the reachable
     set, or [None] when the BDD budget was exceeded. *)

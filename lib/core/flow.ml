@@ -30,15 +30,17 @@ let reset_prefix_input (r : Synth.Flow.result) =
   end
   else None
 
-let build ?(period_slack = default_period_slack) fsm_name algorithm script =
+let synthesize fsm_name algorithm script =
   let entry = Fsm.Benchmarks.find fsm_name in
   let machine = Fsm.Benchmarks.machine entry in
-  let synth =
-    Obs.Trace.span ~args:[ ("fsm", Obs.Json.String fsm_name) ] "flow.synth"
-      (fun () ->
-        Synth.Flow.synthesize ~reset_line:entry.Fsm.Benchmarks.has_reset_line
-          ~algorithm ~script machine)
-  in
+  Obs.Trace.span ~args:[ ("fsm", Obs.Json.String fsm_name) ] "flow.synth"
+    (fun () ->
+      Synth.Flow.synthesize ~reset_line:entry.Fsm.Benchmarks.has_reset_line
+        ~algorithm ~script machine)
+
+let build ?(period_slack = default_period_slack) fsm_name algorithm script =
+  let entry = Fsm.Benchmarks.find fsm_name in
+  let synth = synthesize fsm_name algorithm script in
   let original = synth.Synth.Flow.circuit in
   let prefix_input = reset_prefix_input synth in
   let retimed, retimed_period, prefix_length =

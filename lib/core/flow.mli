@@ -20,6 +20,11 @@ val default_period_slack : float
 (** The input vector holding reset asserted, for reset-line circuits. *)
 val reset_prefix_input : Synth.Flow.result -> bool array option
 
+(** Synthesize a benchmark FSM under one algorithm/script combination,
+    without the retiming {!build} follows it with (uncached). *)
+val synthesize :
+  string -> Synth.Assign.algorithm -> Synth.Flow.script -> Synth.Flow.result
+
 (** Build a pair from scratch (uncached). *)
 val build :
   ?period_slack:float ->

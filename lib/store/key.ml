@@ -23,9 +23,11 @@ let config_fingerprint (cfg : Atpg.Types.config) =
   to_hex h
 
 (* Bump when the classifier's cascade changes in a way that can alter
-   verdicts (new stage, sharper cone, ...): cached classifications and
-   pruned ATPG runs both depend on it. *)
-let classify_version = 1
+   verdicts (new stage, sharper cone, ...) or its recorded work:
+   cached classifications and pruned ATPG runs both depend on it.
+   2: the random-simulation prefilter fronts C3 as well as C4, which
+   changes the classify work accounting. *)
+let classify_version = 2
 
 let classify_fingerprint ~symbolic ~max_nodes ~product ~universe =
   Netlist.Structhash.(

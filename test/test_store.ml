@@ -170,6 +170,20 @@ let test_keys_exclude_names () =
      <> Store.Key.structural ~depth_budget:10 ~cycle_budget:10
           ~circuit_hash:h)
 
+(* The classify fingerprint carries the cascade version: records written
+   under version 1, before the random-simulation prefilter fronted the
+   C3 stage and changed the recorded work, must miss rather than alias.
+   The literal is the version-1 fingerprint of the default collapsed
+   classification. *)
+let test_classify_version_splits_v1 () =
+  let fp =
+    Store.Key.classify_fingerprint ~symbolic:true
+      ~max_nodes:Analysis.Symreach.default_max_nodes ~product:false
+      ~universe:"collapsed"
+  in
+  Alcotest.(check bool) "differs from the v1 fingerprint" true
+    (fp <> "63fc120b57feff41")
+
 (* ---------------------------------------------------------- JSON codecs *)
 
 let test_codec_atpg_roundtrip () =
@@ -518,6 +532,8 @@ let suite =
       test_learn_flag_never_aliases;
     Alcotest.test_case "codec learn counters" `Quick test_codec_learn_counters;
     Alcotest.test_case "keys exclude names" `Quick test_keys_exclude_names;
+    Alcotest.test_case "classify version splits v1 records" `Quick
+      test_classify_version_splits_v1;
     Alcotest.test_case "codec atpg round-trip" `Quick
       test_codec_atpg_roundtrip;
     Alcotest.test_case "codec reach round-trip" `Quick

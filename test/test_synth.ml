@@ -223,15 +223,12 @@ let qcheck_flow_random_fsms =
 (* Synthesis output pinned to structural hashes: any change to what the
    scripts, the minimizer or the mapper produce fails here, not only in
    downstream numbers.  The circuit is the [original] of [Core.Flow.build],
-   synthesized by the same call without the retiming that follows it. *)
+   from the same [Core.Flow.synthesize] call without the retiming that
+   follows it. *)
 let test_golden_synthesis_hashes () =
   List.iter
     (fun (fsm, algorithm, script, want) ->
-      let entry = Fsm.Benchmarks.find fsm in
-      let r =
-        Synth.Flow.synthesize ~reset_line:entry.Fsm.Benchmarks.has_reset_line
-          ~algorithm ~script (Fsm.Benchmarks.machine entry)
-      in
+      let r = Core.Flow.synthesize fsm algorithm script in
       Alcotest.(check string) r.Synth.Flow.name want
         (Netlist.Structhash.circuit r.Synth.Flow.circuit))
     Synth.Assign.

@@ -302,6 +302,109 @@ let test_prune_unpruned_identical () =
   Alcotest.(check int) "work identical" r0.Atpg.Types.stats.Atpg.Types.work
     r1.Atpg.Types.stats.Atpg.Types.work
 
+(* ------------------------------------------------ prefilter invariants - *)
+
+let verdict_string = function
+  | Analysis.Untest.Unknown -> "?"
+  | Analysis.Untest.Untestable p ->
+    Analysis.Untest.cause_to_string p.Analysis.Untest.cause
+    ^ ":"
+    ^ Analysis.Untest.evidence_to_string p.Analysis.Untest.evidence
+
+let verdict_digest c (t : Analysis.Untest.t) =
+  let b = Buffer.create 1024 in
+  Array.iteri
+    (fun i f ->
+      Printf.bprintf b "%s=%s\n" (Fsim.Fault.to_string c f)
+        (verdict_string t.Analysis.Untest.verdicts.(i)))
+    t.Analysis.Untest.faults;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let small_pair () =
+  let c = (Helpers.synthesize_small ()).Synth.Flow.circuit in
+  let re, _, _ = Retime.Apply.retime_aggressive ~period_slack:0.15 c in
+  (c, re)
+
+(* Per-fault verdicts pinned as digests taken before the prefilter
+   fronted C3: skipping C3 on simulation-detected faults must not move a
+   single verdict, with or without the product stage. *)
+let test_verdict_digests () =
+  let seq, _, _, _ = seq_redundant_circuit () in
+  let o, re = small_pair () in
+  List.iter
+    (fun (name, c, product, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s product=%b" name product)
+        want
+        (verdict_digest c (Analysis.Untest.classify ~product c)))
+    [ ("seq-redundant (C3 proofs)", seq, false,
+       "ae5b2dd4114e358af4be4350f523d6a4");
+      ("seq-redundant (C4 proofs)", seq, true,
+       "462a431217e14f83b8ca7e15f88da75a");
+      ("small", o, false, "52c2d68e143adc160116081994b40c69");
+      ("small", o, true, "52c2d68e143adc160116081994b40c69");
+      ("small.re", re, false, "ab8f6c507b442621dc4d888dcfd5d73c");
+      ("small.re", re, true, "ab8f6c507b442621dc4d888dcfd5d73c") ]
+
+(* A fault the prefilter detects is testable: no stage, before or behind
+   the prefilter, may call it untestable. *)
+let check_no_detected_proof name c =
+  let t = Analysis.Untest.classify ~product:true c in
+  let detected =
+    Analysis.Untest.presimulate ~work:(ref 0) c t.Analysis.Untest.faults
+  in
+  Array.iteri
+    (fun i d ->
+      if d && t.Analysis.Untest.verdicts.(i) <> Analysis.Untest.Unknown then
+        Alcotest.failf "%s: prefilter detected %s, yet it was proved untestable"
+          name
+          (Fsim.Fault.to_string c t.Analysis.Untest.faults.(i)))
+    detected;
+  Array.fold_left (fun a d -> if d then a + 1 else a) 0 detected
+
+(* Reachability out of budget with the product stage on: the prefilter
+   still runs (its cycles show in the work account) and nothing raises.
+   C4's per-fault budget is a tenth of [max_nodes] and the product
+   machine contains the good machine, so a budget that starves
+   reachability starves C4 too; at [max_nodes] 10 it gets one node and
+   stops before its first gate, which makes the work exact. *)
+let test_prefilter_without_reachability () =
+  let c, _, _, _ = seq_redundant_circuit () in
+  let static = Analysis.Untest.classify ~symbolic:false c in
+  let starved = Analysis.Untest.classify ~product:true ~max_nodes:10 c in
+  let presim_work = ref 0 in
+  ignore (Analysis.Untest.presimulate ~work:presim_work c static.Analysis.Untest.faults);
+  Alcotest.(check bool) "reachability out of budget" false
+    starved.Analysis.Untest.summary.Analysis.Untest.symbolic_ran;
+  Alcotest.(check bool) "prefilter simulated something" true
+    (!presim_work > 0);
+  Alcotest.(check int) "work = static stages + prefilter"
+    (static.Analysis.Untest.summary.Analysis.Untest.work + !presim_work)
+    starved.Analysis.Untest.summary.Analysis.Untest.work;
+  Alcotest.(check (array string)) "verdicts of the static stages"
+    (Array.map verdict_string static.Analysis.Untest.verdicts)
+    (Array.map verdict_string starved.Analysis.Untest.verdicts);
+  (* every budget degrades to fewer proofs, never to an exception: the
+     full budget proves every undetectable fault of this fixture, so a
+     proof outside that set would be unsound *)
+  let full = Analysis.Untest.classify ~product:true c in
+  for max_nodes = 1 to 600 do
+    match Analysis.Untest.classify ~product:true ~max_nodes c with
+    | t ->
+      Array.iteri
+        (fun i v ->
+          if v <> Analysis.Untest.Unknown
+             && full.Analysis.Untest.verdicts.(i) = Analysis.Untest.Unknown
+          then
+            Alcotest.failf "max_nodes %d: proof of %s the full budget lacks"
+              max_nodes
+              (Fsim.Fault.to_string c t.Analysis.Untest.faults.(i)))
+        t.Analysis.Untest.verdicts
+    | exception e ->
+      Alcotest.failf "max_nodes %d: classify raised %s" max_nodes
+        (Printexc.to_string e)
+  done
+
 (* ------------------------------------------- differential soundness fuzz - *)
 
 (* Exact single-stuck-at detectability by exhaustive product-machine
@@ -456,6 +559,26 @@ let random_circuit rng =
   Netlist.Build.add_po b "z1" (pick ());
   Netlist.Build.finalize b
 
+let test_prefilter_never_proved () =
+  let seq, _, _, _ = seq_redundant_circuit () in
+  let cb, _, _, _ = const_blocked_circuit () in
+  let o, re = small_pair () in
+  let fixed =
+    [ ("seq-redundant", seq); ("const-blocked", cb); ("small", o);
+      ("small.re", re) ]
+  in
+  let rng = Random.State.make [| 0x5ea1; 7 |] in
+  let fuzz =
+    List.init 20 (fun k -> (Printf.sprintf "fuzz %d" k, random_circuit rng))
+  in
+  let detected =
+    List.fold_left
+      (fun a (name, c) -> a + check_no_detected_proof name c)
+      0 (fixed @ fuzz)
+  in
+  (* vacuous unless the prefilter detects something *)
+  Alcotest.(check bool) "prefilter detected some faults" true (detected > 0)
+
 let test_differential_soundness () =
   let rng = Random.State.make [| 0x5ea1; 42 |] in
   let circuits = 30 in
@@ -522,6 +645,11 @@ let suite =
       test_engine_pruning;
     Alcotest.test_case "empty prune is identity" `Quick
       test_prune_unpruned_identical;
+    Alcotest.test_case "verdict digests pinned" `Quick test_verdict_digests;
+    Alcotest.test_case "prefilter-detected faults never proved" `Quick
+      test_prefilter_never_proved;
+    Alcotest.test_case "prefilter without reachability" `Quick
+      test_prefilter_without_reachability;
     Alcotest.test_case "differential soundness fuzz" `Slow
       test_differential_soundness;
   ]
