@@ -6,6 +6,10 @@ second must be answered entirely from cache (hit or disk-hit) with the
 same provenance manifest ids.  Also checks the stats verb, /healthz and
 /metrics over HTTP, and finishes by sending the shutdown verb — the
 caller then asserts the daemon process exits on its own.
+
+Usage: serve_smoke.py SOCKET [A1_OUT] — with A1_OUT, the first-pass
+response to request a1 (dk16 ji sr, hitec) is written there as JSON, so
+the caller can check that a CLI run of the same pair reads its record.
 """
 
 import json
@@ -14,6 +18,7 @@ import sys
 import time
 
 SOCK = sys.argv[1]
+A1_OUT = sys.argv[2] if len(sys.argv) > 2 else None
 
 # bench-source requests only: pure ASCII, and the circuits are the
 # study pairs the store already knows how to cache
@@ -96,6 +101,9 @@ if stats.get("ok") is not True or "serve" not in stats:
 
 first = run_batch(f, "pass 1")
 second = run_batch(f, "pass 2")
+if A1_OUT:
+    with open(A1_OUT, "w") as out:
+        json.dump(first["a1"], out)
 
 for rid in CACHEABLE:
     cache = second[rid].get("cache")

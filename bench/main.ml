@@ -1,10 +1,9 @@
 (* Benchmark harness: regenerates every table and figure of the paper
-   (printed to stdout) and wraps the computational kernel behind each table
-   in a Bechamel micro-benchmark.
+   (printed to stdout) and records the engine, reachability, fault-sim
+   and serve benchmarks as JSON.
 
      dune exec bench/main.exe                 everything
      dune exec bench/main.exe -- tables       only the table regeneration
-     dune exec bench/main.exe -- micro        only the micro-benchmarks
      dune exec bench/main.exe -- atpg         engine grid -> BENCH_atpg.json
      dune exec bench/main.exe -- reach        explicit vs symbolic -> BENCH_reach.json
      dune exec bench/main.exe -- fsim         tape vs nodes backend -> BENCH_fsim.json
@@ -86,8 +85,9 @@ let ablation_learning () =
   say "Ablation: SEST state learning (dk16.ji.sd retimed)@.";
   let p = Core.Flow.pair "dk16" Synth.Assign.Input_dominant Synth.Flow.Delay in
   let re = p.Core.Flow.retimed in
-  let off = Atpg.Run.generate ~config:(Atpg.Hitec.config ()) re in
-  let on = Atpg.Run.generate ~config:(Atpg.Sest.config ()) re in
+  let config kind = Core.Cache.atpg_config kind ~budget:None ~learn:None in
+  let off = Atpg.Run.generate ~config:(config Core.Cache.Hitec) re in
+  let on = Atpg.Run.generate ~config:(config Core.Cache.Sest) re in
   let w r = Atpg.Types.work_units r.Atpg.Types.stats in
   say "  learning off: FC %.1f%%  work %d@." off.Atpg.Types.fault_coverage
     (w off);
@@ -126,12 +126,7 @@ let bench_manifest ~command ~circuit ~circuit_hash ~work_units =
       ~jobs:(Exec.Pool.jobs ()) ~budget:(budget_string ()) ~work_units
       ~metrics:(Obs.Metrics.snapshot ()) ~spans:[] ~event_lines:[] ()
   in
-  if Store.Disk.enabled () then
-    ignore
-      (Store.Disk.save Store.Disk.Manifest ~key:(Obs.Ledger.id m)
-         ~name:("bench " ^ command)
-         (Store.Codec.manifest_to_json m)
-        : bool);
+  Store.Disk.save_manifest ~name:("bench " ^ command) m;
   m
 
 let with_fields extra = function
@@ -204,12 +199,13 @@ let race_config ~struct_learn =
 let run_atpg_json ?(file = "BENCH_atpg.json") () =
   let p = Core.Flow.pair "dk16" Synth.Assign.Input_dominant Synth.Flow.Delay in
   let engines =
-    [ ("hitec", Core.Cache.Hitec); ("attest", Core.Cache.Attest);
-      ("sest", Core.Cache.Sest) ]
+    List.map
+      (fun (engine, kind) ->
+        (engine, kind, Core.Cache.atpg_config kind ~budget:None ~learn:None))
+      Core.Cache.atpg_kinds
   in
   let circuits =
-    [ (p.Core.Flow.name, p.Core.Flow.original);
-      (p.Core.Flow.name ^ ".re", p.Core.Flow.retimed) ]
+    [ Core.Flow.circuit p ~retimed:false; Core.Flow.circuit p ~retimed:true ]
   in
   let invariant_proved =
     List.map
@@ -223,23 +219,10 @@ let run_atpg_json ?(file = "BENCH_atpg.json") () =
   in
   let cells =
     List.concat_map
-      (fun (engine, kind) ->
-        List.map (fun (bench, circuit) -> (engine, kind, bench, circuit))
+      (fun (engine, kind, config) ->
+        List.map
+          (fun (bench, circuit) -> (engine, kind, config, bench, circuit))
           circuits)
-      engines
-  in
-  (* same config recipe as Core.Cache.atpg: the per-record fingerprint
-     matches the one in the record's cache key *)
-  let config_fps =
-    List.map
-      (fun (engine, kind) ->
-        let config =
-          match kind with
-          | Core.Cache.Hitec -> Atpg.Hitec.config ()
-          | Core.Cache.Sest -> Atpg.Sest.config ()
-          | Core.Cache.Attest -> Atpg.Types.scaled_config ()
-        in
-        (engine, Store.Key.config_fingerprint config))
       engines
   in
   (* The grid cells shard across domains (Exec.Pool merges results in
@@ -248,14 +231,17 @@ let run_atpg_json ?(file = "BENCH_atpg.json") () =
      the cell, right after its lookup. *)
   let records =
     Exec.Pool.map_list
-      (fun (engine, kind, bench, circuit) ->
+      (fun (engine, kind, config, bench, circuit) ->
         let t0 = Unix.gettimeofday () in
-        let r = Core.Cache.atpg ~prove_untestable:true kind ~name:bench circuit in
+        let r =
+          Core.Cache.atpg ~prove_untestable:true ~config kind ~name:bench
+            circuit
+        in
         let wall = Unix.gettimeofday () -. t0 in
         let cache = Core.Cache.outcome_string (Core.Cache.last_outcome ()) in
-        (engine, bench, r, wall, cache))
+        (engine, config, bench, r, wall, cache))
       cells
-    |> List.map (fun (engine, bench, r, wall, cache) ->
+    |> List.map (fun (engine, config, bench, r, wall, cache) ->
            let proved =
              Array.fold_left
                (fun a s ->
@@ -282,7 +268,7 @@ let run_atpg_json ?(file = "BENCH_atpg.json") () =
                  Obs.Json.Int (List.assoc bench invariant_proved) );
                ("cache", Obs.Json.String cache);
                ( "config_fp",
-                 Obs.Json.String (List.assoc engine config_fps) );
+                 Obs.Json.String (Store.Key.config_fingerprint config) );
              ])
   in
   (* Structural-learning race (DESIGN §12): learn-on vs learn-off
@@ -297,8 +283,8 @@ let run_atpg_json ?(file = "BENCH_atpg.json") () =
     List.concat_map
       (fun (name, a, s) ->
         let p = Core.Flow.pair name a s in
-        [ (p.Core.Flow.name, p.Core.Flow.original);
-          (p.Core.Flow.name ^ ".re", p.Core.Flow.retimed) ])
+        [ Core.Flow.circuit p ~retimed:false;
+          Core.Flow.circuit p ~retimed:true ])
       (study_pairs ())
   in
   (* sequential on purpose: honest per-cell walls, and the learn-on
@@ -518,8 +504,8 @@ let run_fsim_json ?(file = "BENCH_fsim.json") () =
     List.concat_map
       (fun (name, a, s) ->
         let p = Core.Flow.pair name a s in
-        [ (p.Core.Flow.name, p.Core.Flow.original);
-          (p.Core.Flow.name ^ ".re", p.Core.Flow.retimed) ])
+        [ Core.Flow.circuit p ~retimed:false;
+          Core.Flow.circuit p ~retimed:true ])
       selection
   in
   (* cells run sequentially: each simulate call parallelizes internally,
@@ -620,116 +606,6 @@ let run_fsim () =
   say "Fault-simulation backend benchmark (nodes vs tape, 6 pairs x \
        original/retimed):@.";
   run_fsim_json ()
-
-(* ---------------------------------------------------------- micro benchmarks *)
-
-let micro_tests () =
-  let open Bechamel in
-  let dk16 =
-    lazy (Core.Flow.pair "dk16" Synth.Assign.Input_dominant Synth.Flow.Delay)
-  in
-  let machine = lazy (Fsm.Benchmarks.machine_of_name "dk16") in
-  let circuit = lazy (Lazy.force dk16).Core.Flow.original in
-  let faults = lazy (Fsim.Collapse.list (Lazy.force circuit)) in
-  let vectors =
-    lazy
-      (let rng = Random.State.make [| 1 |] in
-       List.init 100 (fun _ ->
-           Sim.Vectors.random_vector rng
-             (Netlist.Node.num_pis (Lazy.force circuit))))
-  in
-  [
-    Test.make ~name:"table1/fsm-generate"
-      (Staged.stage (fun () -> ignore (Fsm.Benchmarks.machine_of_name "dk16")));
-    Test.make ~name:"table2/fault-sim-100-vectors"
-      (Staged.stage (fun () ->
-           ignore
-             (Fsim.Engine.simulate (Lazy.force circuit) (Lazy.force faults)
-                (Lazy.force vectors))));
-    Test.make ~name:"table2/podem-one-fault"
-      (Staged.stage (fun () ->
-           let c = Lazy.force circuit in
-           let f = (Lazy.force faults).(7) in
-           let stats = Atpg.Types.new_stats () in
-           let cfg = Atpg.Types.default_config in
-           let fr = Atpg.Frames.create ~fault:f c ~frames:6 ~stats in
-           ignore
-             (try
-                match Atpg.Podem.phase_a fr f cfg stats with
-                | Atpg.Podem.Detected -> true
-                | Atpg.Podem.Exhausted _ -> false
-              with Atpg.Podem.Out_of_budget -> false)));
-    Test.make ~name:"table3/attest-score-step"
-      (Staged.stage (fun () ->
-           let c = Lazy.force circuit in
-           ignore (Atpg.Attest.dff_distance_to_po c)));
-    Test.make ~name:"table5/structural-analysis"
-      (Staged.stage (fun () ->
-           ignore (Analysis.Structural.analyze (Lazy.force circuit))));
-    Test.make ~name:"table6/reachability"
-      (Staged.stage (fun () ->
-           ignore (Analysis.Reach.explore (Lazy.force circuit))));
-    Test.make ~name:"table7/min-period-retime"
-      (Staged.stage (fun () ->
-           ignore (Retime.Apply.retime_min_period (Lazy.force circuit))));
-    Test.make ~name:"figure3/trajectory-checkpointing"
-      (Staged.stage (fun () ->
-           let c = Lazy.force circuit in
-           ignore
-             (Atpg.Run.generate ~random_sequences_count:1
-                ~random_sequence_length:30
-                ~config:
-                  {
-                    Atpg.Types.default_config with
-                    Atpg.Types.total_work_limit = 1_000_000;
-                  }
-                c)));
-    Test.make ~name:"synthesis/full-flow"
-      (Staged.stage (fun () ->
-           ignore
-             (Synth.Flow.synthesize ~algorithm:Synth.Assign.Combined
-                ~script:Synth.Flow.Rugged (Lazy.force machine))));
-    Test.make ~name:"twolevel/espresso"
-      (Staged.stage (fun () ->
-           let rng = Random.State.make [| 3 |] in
-           let cube () =
-             let c = ref (Twolevel.Cube.full 10) in
-             for i = 0 to 9 do
-               match Random.State.int rng 3 with
-               | 0 -> c := Twolevel.Cube.set_lit !c i Twolevel.Cube.lit_pos
-               | 1 -> c := Twolevel.Cube.set_lit !c i Twolevel.Cube.lit_neg
-               | _ -> ()
-             done;
-             !c
-           in
-           let on = Twolevel.Cover.make 10 (List.init 24 (fun _ -> cube ())) in
-           ignore
-             (Twolevel.Minimize.espresso ~on ~dc:(Twolevel.Cover.empty 10) ())));
-  ]
-
-let run_micro () =
-  let open Bechamel in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:100 ~quota:(Time.second 0.5) ~kde:(Some 50) ()
-  in
-  let raw =
-    Benchmark.all cfg instances
-      (Test.make_grouped ~name:"satpg" (micro_tests ()))
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  say "Micro-benchmarks (one kernel per table/figure):@.";
-  let names = Hashtbl.fold (fun k _ acc -> k :: acc) results [] in
-  List.iter
-    (fun name ->
-      match Analyze.OLS.estimates (Hashtbl.find results name) with
-      | Some (est :: _) -> say "  %-42s %14.0f ns/run@." name est
-      | Some [] | None -> say "  %-42s %14s@." name "-")
-    (List.sort compare names);
-  say "@."
 
 (* --------------------------------------------------- serve benchmark JSON *)
 
@@ -1117,17 +993,13 @@ let run_serve () =
 
 exception Fuzz_failure of string
 
-(* Default budgets on the tiny generated circuits: large enough that
+(* HITEC's budgets on the tiny generated circuits: large enough that
    both modes resolve almost every fault, small enough to stay fast.
    SATPG_BUDGET scales them for deeper reproductions of a failing
    seed. *)
 let fuzz_config ~struct_learn =
-  let base =
-    Atpg.Types.scaled_config
-      ~base:{ Atpg.Types.default_config with learn = false }
-      ()
-  in
-  { base with Atpg.Types.struct_learn }
+  Core.Cache.atpg_config Core.Cache.Hitec ~budget:None
+    ~learn:(Some struct_learn)
 
 let fuzz_check_circuit ~seed ~label c =
   (* 1. fault-sim backends: tape vs nodes bit-identity *)
@@ -1277,7 +1149,6 @@ let () =
   let mode = match positional with m :: _ -> m | [] -> "all" in
   (match mode with
    | "tables" -> run_tables ()
-   | "micro" -> run_micro ()
    | "atpg" -> run_atpg ()
    | "reach" -> run_reach ()
    | "fsim" -> run_fsim ()
@@ -1291,7 +1162,6 @@ let () =
      in
      run_fuzz ?seed ()
    | _ ->
-     run_micro ();
      run_tables ();
      run_atpg ();
      run_reach ();

@@ -119,12 +119,9 @@ let finish_manifest ~command ?circuit ?circuit_hash ?config_fp ?engine
       ~metrics:(Obs.Metrics.snapshot ()) ~spans ~event_lines ()
   in
   manifest_slot := Some m;
-  if Store.Disk.enabled () then
-    ignore
-      (Store.Disk.save Store.Disk.Manifest ~key:(Obs.Ledger.id m)
-         ~name:(String.concat " " ("satpg" :: command :: Option.to_list circuit))
-         (Store.Codec.manifest_to_json m)
-        : bool);
+  Store.Disk.save_manifest
+    ~name:(String.concat " " ("satpg" :: command :: Option.to_list circuit))
+    m;
   m
 
 (* Install sinks for the given artifact files (or unconditionally with
@@ -208,30 +205,22 @@ let fsm_arg =
   Arg.(value & pos 0 string "dk16" & info [] ~docv:"FSM" ~doc)
 
 let algorithm_arg =
-  let of_tag =
-    Arg.enum
-      [ ("ji", Synth.Assign.Input_dominant);
-        ("jo", Synth.Assign.Output_dominant);
-        ("jc", Synth.Assign.Combined) ]
-  in
   let doc = "jedi state-assignment algorithm: ji, jo or jc." in
-  Arg.(value & opt of_tag Synth.Assign.Input_dominant & info [ "j"; "jedi" ] ~doc)
+  Arg.(value
+       & opt (enum Synth.Assign.algorithms) Synth.Assign.Input_dominant
+       & info [ "j"; "jedi" ] ~doc)
 
 let script_arg =
-  let of_tag =
-    Arg.enum [ ("sr", Synth.Flow.Rugged); ("sd", Synth.Flow.Delay) ]
-  in
   let doc = "SIS-style synthesis script: sr (rugged/area) or sd (delay)." in
-  Arg.(value & opt of_tag Synth.Flow.Rugged & info [ "s"; "script" ] ~doc)
+  Arg.(value
+       & opt (enum Synth.Flow.scripts) Synth.Flow.Rugged
+       & info [ "s"; "script" ] ~doc)
 
 let engine_arg =
-  let of_tag =
-    Arg.enum
-      [ ("hitec", Core.Cache.Hitec); ("attest", Core.Cache.Attest);
-        ("sest", Core.Cache.Sest) ]
-  in
   let doc = "ATPG engine: hitec, attest or sest." in
-  Arg.(value & opt of_tag Core.Cache.Hitec & info [ "e"; "engine" ] ~doc)
+  Arg.(value
+       & opt (enum Core.Cache.atpg_kinds) Core.Cache.Hitec
+       & info [ "e"; "engine" ] ~doc)
 
 let retimed_flag =
   let doc = "Operate on the retimed version of the circuit." in
@@ -307,10 +296,13 @@ let atpg_cmd =
   let run () obs jobs fsm alg script engine retimed scoap learn prove json =
     setup_jobs jobs;
     with_obs ~command:"atpg" obs @@ fun () ->
-    let p = Core.Flow.pair fsm alg script in
-    let name = p.Core.Flow.name ^ if retimed then ".re" else "" in
-    let circuit = if retimed then p.Core.Flow.retimed else p.Core.Flow.original in
-    let struct_learn = learn || Atpg.Types.env_struct_learn () in
+    let name, circuit =
+      Core.Flow.circuit (Core.Flow.pair fsm alg script) ~retimed
+    in
+    let config =
+      Core.Cache.atpg_config engine ~budget:None
+        ~learn:(if learn then Some true else None)
+    in
     let r =
       if scoap then begin
         if prove then
@@ -319,34 +311,17 @@ let atpg_cmd =
         Core.Cache.note_bypass ();
         let guide = Lint.Scoap.controllability (Lint.Scoap.compute circuit) in
         match engine with
-        | Core.Cache.Hitec ->
-          let config =
-            { (Atpg.Hitec.config ()) with Atpg.Types.struct_learn }
-          in
-          Atpg.Hitec.generate ~config ~guide circuit
-        | Core.Cache.Sest ->
-          let config =
-            { (Atpg.Sest.config ()) with Atpg.Types.struct_learn }
-          in
-          Atpg.Sest.generate ~config ~guide circuit
+        | Core.Cache.Hitec | Core.Cache.Sest ->
+          Atpg.Run.generate ~config
+            ~engine:(Core.Cache.atpg_kind_name engine)
+            ~guide circuit
         | Core.Cache.Attest ->
           Fmt.epr "note: attest is simulation-based; --scoap has no effect@.";
-          Atpg.Attest.generate circuit
+          Atpg.Attest.generate ~config circuit
       end
-      else
-        Core.Cache.atpg ~prove_untestable:prove ~struct_learn engine ~name
-          circuit
+      else Core.Cache.atpg ~prove_untestable:prove ~config engine ~name circuit
     in
     let cache = Core.Cache.outcome_string (Core.Cache.last_outcome ()) in
-    (* same config recipe as Core.Cache.atpg, so the fingerprint in the
-       provenance equals the one inside the result's cache key *)
-    let config =
-      match engine with
-      | Core.Cache.Hitec -> Atpg.Hitec.config ()
-      | Core.Cache.Sest -> Atpg.Sest.config ()
-      | Core.Cache.Attest -> Atpg.Types.scaled_config ()
-    in
-    let config = { config with Atpg.Types.struct_learn } in
     let m =
       finish_manifest ~command:"atpg" ~circuit:name
         ~circuit_hash:(Netlist.Structhash.circuit circuit)
@@ -430,25 +405,13 @@ let classify_cmd =
     let p = Core.Flow.pair fsm alg script in
     let symbolic = not no_symbolic in
     let circuits =
-      [ (p.Core.Flow.name, p.Core.Flow.original);
-        (p.Core.Flow.name ^ ".re", p.Core.Flow.retimed) ]
+      [ Core.Flow.circuit p ~retimed:false; Core.Flow.circuit p ~retimed:true ]
     in
     let classified =
       List.map
         (fun (name, c) ->
           (name, c, Core.Cache.classify ~symbolic ~product ~name c))
         circuits
-    in
-    let summary_json (s : Analysis.Untest.summary) =
-      Obs.Json.Obj
-        [ ("faults", Obs.Json.Int s.Analysis.Untest.total);
-          ("proved_untestable", Obs.Json.Int s.Analysis.Untest.proved);
-          ("structural", Obs.Json.Int s.Analysis.Untest.structural);
-          ("ternary", Obs.Json.Int s.Analysis.Untest.ternary);
-          ("symbolic", Obs.Json.Int s.Analysis.Untest.symbolic);
-          ("symbolic_ran", Obs.Json.Bool s.Analysis.Untest.symbolic_ran);
-          ("bdd_nodes", Obs.Json.Int s.Analysis.Untest.bdd_nodes);
-          ("work_units", Obs.Json.Int s.Analysis.Untest.work) ]
     in
     let check_result =
       if not check then None
@@ -472,9 +435,8 @@ let classify_cmd =
           ^ "+"
           ^ Netlist.Structhash.circuit p.Core.Flow.retimed)
         ~config_fp:
-          (Store.Key.classify_fingerprint ~symbolic
-             ~max_nodes:Analysis.Symreach.default_max_nodes ~product
-             ~universe:"collapsed")
+          (Core.Cache.classify_fingerprint ~symbolic ~product
+             Core.Cache.Collapsed)
         ~work_units:
           (List.fold_left
              (fun a (_, _, t) ->
@@ -495,10 +457,8 @@ let classify_cmd =
                  (fun (name, _, t) ->
                    Obs.Json.Obj
                      (("circuit", Obs.Json.String name)
-                      ::
-                      (match summary_json t.Analysis.Untest.summary with
-                      | Obs.Json.Obj fs -> fs
-                      | _ -> [])))
+                      :: Analysis.Untest.summary_fields
+                           t.Analysis.Untest.summary))
                  classified) ) ]
         @
         match check_result with
@@ -665,29 +625,14 @@ let lint_cmd =
                "Skip the NET008 sequential-redundancy rule (no symbolic \
                 reachability oracle is built).")
   in
-  (* The NET008 oracle: proved-unreachable states from symbolic
-     reachability.  A BDD blow-up or malformed circuit quietly disables
-     the rule — lint must degrade, not fail, on circuits the oracle
-     cannot handle. *)
-  let reach_oracle c =
-    match Analysis.Symreach.explore c with
-    | r ->
-      Some
-        {
-          Lint.Netlist_rules.can_take =
-            (fun node value -> Analysis.Symreach.can_take r node value);
-          max_nodes = Analysis.Symreach.default_max_nodes;
-          bdd_nodes =
-            r.Analysis.Symreach.summary.Analysis.Symreach.bdd_nodes;
-        }
-    | exception (Bdd.Node_limit | Invalid_argument _) -> None
-  in
   let run () fsm alg script json fail_on_error scoap no_symbolic =
     let p = Core.Flow.pair fsm alg script in
     let machine = Fsm.Benchmarks.machine p.Core.Flow.fsm in
     let fsm_diags = Lint.Report.lint_fsm machine in
     let lint c =
-      let oracle = if no_symbolic then None else reach_oracle c in
+      let oracle =
+        if no_symbolic then None else Lint.Netlist_rules.reach_oracle c
+      in
       Lint.Report.lint_netlist ?oracle c
     in
     let so = lint p.Core.Flow.original in
@@ -737,9 +682,9 @@ let lint_cmd =
 
 let analyze_cmd =
   let run () fsm alg script retimed =
-    let p = Core.Flow.pair fsm alg script in
-    let name = p.Core.Flow.name ^ if retimed then ".re" else "" in
-    let circuit = if retimed then p.Core.Flow.retimed else p.Core.Flow.original in
+    let name, circuit =
+      Core.Flow.circuit (Core.Flow.pair fsm alg script) ~retimed
+    in
     let s = Core.Cache.structural ~name circuit in
     let d = Core.Cache.density ~name circuit in
     Fmt.pr "%s:@." name;
@@ -834,9 +779,9 @@ let reach_cmd =
                (use --check to run both)@.";
       exit 124
     end;
-    let p = Core.Flow.pair fsm alg script in
-    let name = p.Core.Flow.name ^ if retimed then ".re" else "" in
-    let circuit = if retimed then p.Core.Flow.retimed else p.Core.Flow.original in
+    let name, circuit =
+      Core.Flow.circuit (Core.Flow.pair fsm alg script) ~retimed
+    in
     let cache () = Core.Cache.outcome_string (Core.Cache.last_outcome ()) in
     let run_explicit () =
       match Core.Cache.reach ~name circuit with
@@ -882,11 +827,8 @@ let reach_cmd =
         finish_manifest ~command:"reach" ~circuit:name
           ~circuit_hash:(Netlist.Structhash.circuit circuit)
           ~config_fp:
-            (Store.Key.reach_fingerprint
-               ~max_states:Analysis.Reach.default_max_states
-            ^ "+"
-            ^ Store.Key.symreach_fingerprint
-                ~max_nodes:Analysis.Symreach.default_max_nodes)
+            (Core.Cache.reach_fingerprint ^ "+"
+           ^ Core.Cache.symreach_fingerprint)
           ()
       in
       if json then
@@ -923,12 +865,8 @@ let reach_cmd =
         finish_manifest ~command:"reach" ~circuit:name
           ~circuit_hash:(Netlist.Structhash.circuit circuit)
           ~config_fp:
-            (if use_symbolic then
-               Store.Key.symreach_fingerprint
-                 ~max_nodes:Analysis.Symreach.default_max_nodes
-             else
-               Store.Key.reach_fingerprint
-                 ~max_states:Analysis.Reach.default_max_states)
+            (if use_symbolic then Core.Cache.symreach_fingerprint
+             else Core.Cache.reach_fingerprint)
           ()
       in
       if json then
@@ -1028,9 +966,9 @@ let export_cmd =
            ~doc:"Output format: blif or verilog.")
   in
   let run () fsm alg script retimed fmt =
-    let p = Core.Flow.pair fsm alg script in
-    let name = p.Core.Flow.name ^ if retimed then ".re" else "" in
-    let circuit = if retimed then p.Core.Flow.retimed else p.Core.Flow.original in
+    let name, circuit =
+      Core.Flow.circuit (Core.Flow.pair fsm alg script) ~retimed
+    in
     match fmt with
     | `Blif -> print_string (Netlist.Blif.to_string ~model:name circuit)
     | `Verilog -> print_string (Netlist.Verilog.to_string ~module_name:name circuit)
@@ -1050,9 +988,9 @@ let scan_cmd =
   let run () obs jobs fsm alg script retimed partial =
     setup_jobs jobs;
     with_obs ~command:"scan" obs @@ fun () ->
-    let p = Core.Flow.pair fsm alg script in
-    let name = p.Core.Flow.name ^ if retimed then ".re" else "" in
-    let circuit = if retimed then p.Core.Flow.retimed else p.Core.Flow.original in
+    let name, circuit =
+      Core.Flow.circuit (Core.Flow.pair fsm alg script) ~retimed
+    in
     let chain =
       if partial then
         Dft.Scan.insert ~positions:(Dft.Scan.select_cycle_breaking circuit)
@@ -1061,7 +999,10 @@ let scan_cmd =
     in
     Fmt.pr "%s: scanned %d of %d registers@." name chain.Dft.Scan.length
       (Netlist.Node.num_dffs circuit);
-    let seq = Core.Cache.atpg Core.Cache.Hitec ~name circuit in
+    let config =
+      Core.Cache.atpg_config Core.Cache.Hitec ~budget:None ~learn:None
+    in
+    let seq = Core.Cache.atpg ~config Core.Cache.Hitec ~name circuit in
     let scan = Dft.Scan_atpg.generate chain in
     Fmt.pr "  sequential ATPG : FC %5.1f%%  work %d@."
       seq.Atpg.Types.fault_coverage
@@ -1112,28 +1053,14 @@ let compare_cmd =
 let tables_cmd =
   let table_arg =
     let doc = "Which table to regenerate (1-8, fig3, shape, or all)." in
-    Arg.(value & pos 0 string "all" & info [] ~docv:"TABLE" ~doc)
+    let names = List.map (fun (n, _) -> (n, n)) Core.Report.tables in
+    Arg.(value & pos 0 (enum names) "all" & info [] ~docv:"TABLE" ~doc)
   in
   let run () obs jobs which =
     setup_jobs jobs;
     with_obs ~command:"tables" obs @@ fun () ->
-    let ppf = Fmt.stdout in
-    (match which with
-     | "1" -> Core.Tables.T1.pp ppf (Core.Tables.T1.compute ())
-     | "2" -> Core.Tables.T2.pp ppf (Core.Tables.T2.compute ())
-     | "3" -> Core.Tables.T3.pp ppf (Core.Tables.T3.compute ())
-     | "4" -> Core.Tables.T4.pp ppf (Core.Tables.T4.compute ())
-     | "5" -> Core.Tables.T5.pp ppf (Core.Tables.T5.compute ())
-     | "6" -> Core.Tables.T6.pp ppf (Core.Tables.T6.compute ())
-     | "7" -> Core.Tables.T7.pp ppf (Core.Tables.T7.compute ())
-     | "8" -> Core.Tables.T8.pp ppf (Core.Tables.T8.compute ())
-     | "fig3" -> Core.Figure3.pp ppf (Core.Figure3.compute ())
-     | "shape" -> Core.Report.pp_shape_checks ppf ()
-     | "all" ->
-       Core.Report.run_all ppf ();
-       Core.Report.pp_shape_checks ppf ()
-     | other -> Fmt.epr "unknown table %s@." other);
-    Fmt.flush ppf ();
+    List.assoc which Core.Report.tables Fmt.stdout;
+    Fmt.flush Fmt.stdout ();
     (* counters to stderr so table output stays byte-identical across
        cold and warm (store-served) runs *)
     Fmt.epr "%a@." Core.Cache.pp_summary ()

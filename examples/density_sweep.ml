@@ -8,12 +8,15 @@
 let () =
   Fmt.pr "Building s510.jo.sr and four retimed versions...@.";
   let versions = Core.Flow.sensitivity_versions () in
+  let config =
+    Core.Cache.atpg_config Core.Cache.Hitec ~budget:None ~learn:None
+  in
   Fmt.pr "%-18s %6s %5s %8s %10s %12s %8s %6s@." "circuit" "delay" "dff"
     "#valid" "density" "ATPG-work" "FC%" "FE%";
   List.iter
     (fun (name, c, period) ->
       let reach = Core.Cache.reach ~name c in
-      let atpg = Core.Cache.atpg Core.Cache.Hitec ~name c in
+      let atpg = Core.Cache.atpg ~config Core.Cache.Hitec ~name c in
       Fmt.pr "%-18s %6.2f %5d %8d %10.2e %12d %8.1f %6.1f@." name period
         (Netlist.Node.num_dffs c)
         reach.Analysis.Reach.valid_states

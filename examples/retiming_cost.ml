@@ -55,8 +55,13 @@ let () =
     (Analysis.Reach.density ro) (Analysis.Reach.density rr);
 
   (* and the ATPG cost *)
-  let ao = Core.Cache.atpg Core.Cache.Hitec ~name:p.Core.Flow.name c in
-  let ar = Core.Cache.atpg Core.Cache.Hitec ~name:(p.Core.Flow.name ^ ".re") re in
+  let config =
+    Core.Cache.atpg_config Core.Cache.Hitec ~budget:None ~learn:None
+  in
+  let ao = Core.Cache.atpg ~config Core.Cache.Hitec ~name:p.Core.Flow.name c in
+  let ar =
+    Core.Cache.atpg ~config Core.Cache.Hitec ~name:(p.Core.Flow.name ^ ".re") re
+  in
   let w r = Atpg.Types.work_units r.Atpg.Types.stats in
   Fmt.pr "ATPG original: FC %.1f%%, FE %.1f%%, %d work units@."
     ao.Atpg.Types.fault_coverage ao.Atpg.Types.fault_efficiency (w ao);

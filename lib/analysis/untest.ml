@@ -697,6 +697,18 @@ let classify ?(symbolic = true) ?(max_nodes = Symreach.default_max_nodes)
 
 (* --------------------------------------------------------------- lookups - *)
 
+let summary_fields s =
+  [
+    ("faults", Obs.Json.Int s.total);
+    ("proved_untestable", Obs.Json.Int s.proved);
+    ("structural", Obs.Json.Int s.structural);
+    ("ternary", Obs.Json.Int s.ternary);
+    ("symbolic", Obs.Json.Int s.symbolic);
+    ("symbolic_ran", Obs.Json.Bool s.symbolic_ran);
+    ("bdd_nodes", Obs.Json.Int s.bdd_nodes);
+    ("work_units", Obs.Json.Int s.work);
+  ]
+
 let lookup t =
   let h = Hashtbl.create (max 16 (Array.length t.faults)) in
   Array.iteri (fun i f -> Hashtbl.replace h f t.verdicts.(i)) t.faults;

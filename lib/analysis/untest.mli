@@ -83,6 +83,11 @@ val invariant_faults : Netlist.Node.t -> Fsim.Fault.t array
     [Unknown]).  Build once, query many. *)
 val lookup : t -> Fsim.Fault.t -> verdict
 
+(** The summary as JSON fields: faults, proved_untestable, structural,
+    ternary, symbolic, symbolic_ran, bdd_nodes, work_units — the counts
+    that CLI and daemon classify responses report. *)
+val summary_fields : summary -> (string * Obs.Json.t) list
+
 (** [prune t] is [fun f -> lookup t f <> Unknown] — the predicate
     {!Atpg.Run.generate} consumes to skip proved-untestable faults. *)
 val prune : t -> Fsim.Fault.t -> bool

@@ -17,10 +17,9 @@
 
 type atpg_kind = Hitec | Attest | Sest
 
-let atpg_kind_name = function
-  | Hitec -> "hitec"
-  | Attest -> "attest"
-  | Sest -> "sest"
+let atpg_kinds = [ ("hitec", Hitec); ("attest", Attest); ("sest", Sest) ]
+
+let atpg_kind_name k = fst (List.find (fun (_, k') -> k' = k) atpg_kinds)
 
 let hits = Obs.Metrics.counter "core.cache.hits"
 let misses = Obs.Metrics.counter "core.cache.misses"
@@ -125,6 +124,15 @@ let universe_name = function
   | Collapsed -> "collapsed"
   | Invariant -> "invariant"
 
+let classify_fingerprint ~symbolic ~product universe =
+  Store.Key.classify_fingerprint ~symbolic
+    ~max_nodes:Analysis.Symreach.default_max_nodes ~product
+    ~universe:(universe_name universe)
+
+let classify_key ~symbolic ~product universe ~circuit_hash =
+  Store.Key.classify ~symbolic ~max_nodes:Analysis.Symreach.default_max_nodes
+    ~product ~universe:(universe_name universe) ~circuit_hash
+
 (* Fault classification (Analysis.Untest), cached like every other
    analysis.  [universe] picks the fault set: [Collapsed] is the
    engines' list (what [atpg ~prove_untestable] prunes against),
@@ -132,10 +140,8 @@ let universe_name = function
    [satpg classify --check]. *)
 let classify ?(symbolic = true) ?(product = false) ?(universe = Collapsed)
     ~name c =
-  let max_nodes = Analysis.Symreach.default_max_nodes in
   let key =
-    Store.Key.classify ~symbolic ~max_nodes ~product
-      ~universe:(universe_name universe)
+    classify_key ~symbolic ~product universe
       ~circuit_hash:(Netlist.Structhash.circuit c)
   in
   lookup classify_results ~skind:Store.Disk.Classify ~key ~name
@@ -146,83 +152,100 @@ let classify ?(symbolic = true) ?(product = false) ?(universe = Collapsed)
         | Collapsed -> None
         | Invariant -> Some (Analysis.Untest.invariant_faults c)
       in
-      Analysis.Untest.classify ~symbolic ~max_nodes ~product ?faults c)
+      Analysis.Untest.classify ~symbolic
+        ~max_nodes:Analysis.Symreach.default_max_nodes ~product ?faults c)
 
-let atpg ?(prove_untestable = false) ?struct_learn ?config kind ~name c =
-  let config =
-    (* an explicit config (serve's per-request budgets) replaces the
-       environment-derived recipe; both shapes reach Store.Key through
-       the same fingerprint, so equal budgets mean equal records *)
-    match config with
-    | Some cfg -> cfg
-    | None ->
-      (match kind with
-       | Hitec -> Atpg.Hitec.config ()
-       | Sest -> Atpg.Sest.config ()
-       | Attest -> Atpg.Types.scaled_config ())
+(* The ATPG configuration recipe.  Every entry point — CLI, daemon,
+   bench — builds its config here, so equal inputs give equal
+   fingerprints and therefore one store record.  [budget] scales the
+   engine's budgets like SATPG_BUDGET does (and replaces it); [learn]
+   overrides the SATPG_LEARN default.  The simulation-based attest engine
+   has no branch structure to learn from, so its flag is always off and a
+   --learn attest run shares the record of the plain one. *)
+let atpg_config kind ~budget ~learn =
+  let base =
+    { Atpg.Types.default_config with Atpg.Types.learn = (kind = Sest) }
   in
-  (* [struct_learn] overrides the SATPG_LEARN default baked in by
-     [scaled_config]; the flag is part of the config fingerprint, so
-     learn-on and learn-off runs never share a cache record *)
   let config =
-    match struct_learn with
-    | None -> config
-    | Some b -> { config with Atpg.Types.struct_learn = b }
+    match budget with
+    | None -> Atpg.Types.scaled_config ~base ()
+    | Some f ->
+      Atpg.Types.scale_budgets
+        { base with Atpg.Types.struct_learn = Atpg.Types.env_struct_learn () }
+        f
   in
-  (* the simulation-based attest engine has no branch structure to learn
-     from: normalize the flag off so a --learn attest run shares the
-     cache line of the plain one instead of recomputing it verbatim *)
-  let config =
-    match kind with
-    | Attest -> { config with Atpg.Types.struct_learn = false }
-    | Hitec | Sest -> config
+  let struct_learn =
+    match kind, learn with
+    | Attest, _ -> false
+    | (Hitec | Sest), Some b -> b
+    | (Hitec | Sest), None -> config.Atpg.Types.struct_learn
   in
+  { config with Atpg.Types.struct_learn }
+
+(* A pruned run folds in the fingerprint of the classification it prunes
+   against: the full cascade including the exact product stage, since the
+   engines are about to spend real budget *)
+let atpg_key ~prove_untestable kind config ~circuit_hash =
+  let classify =
+    if prove_untestable then
+      Some (classify_fingerprint ~symbolic:true ~product:true Collapsed)
+    else None
+  in
+  Store.Key.atpg ~engine:(atpg_kind_name kind) ~config ?classify
+    ~circuit_hash ()
+
+let atpg ?(prove_untestable = false) ~config kind ~name c =
   (* classify first (its own cache line) so the prune predicate and the
      classify fingerprint in the ATPG key agree by construction *)
-  let prune, classify_fp =
-    if not prove_untestable then (None, None)
-    else
-      (* the full cascade including the exact product stage: the engines
-         are about to spend real budget, so buy every sound proof first *)
-      let cls = classify ~product:true ~name c in
-      ( Some (Analysis.Untest.prune cls),
-        Some
-          (Store.Key.classify_fingerprint ~symbolic:true
-             ~max_nodes:Analysis.Symreach.default_max_nodes ~product:true
-             ~universe:(universe_name Collapsed)) )
+  let prune =
+    if prove_untestable then
+      Some (Analysis.Untest.prune (classify ~product:true ~name c))
+    else None
   in
   let key =
-    Store.Key.atpg ~engine:(atpg_kind_name kind) ~config ?classify:classify_fp
-      ~circuit_hash:(Netlist.Structhash.circuit c) ()
+    atpg_key ~prove_untestable kind config
+      ~circuit_hash:(Netlist.Structhash.circuit c)
   in
   lookup atpg_results ~skind:Store.Disk.Atpg ~key ~name
     ~encode:Store.Codec.atpg_result_to_json
     ~decode:Store.Codec.atpg_result_of_json
     (fun () ->
       match kind with
-      | Hitec -> Atpg.Run.generate ~config ~engine:"hitec" ?prune c
-      | Sest -> Atpg.Run.generate ~config ~engine:"sest" ?prune c
+      | Hitec | Sest ->
+        Atpg.Run.generate ~config ~engine:(atpg_kind_name kind) ?prune c
       | Attest -> Atpg.Attest.generate ~config ?prune c)
 
+let reach_fingerprint =
+  Store.Key.reach_fingerprint ~max_states:Analysis.Reach.default_max_states
+
+let reach_key ~circuit_hash =
+  Store.Key.reach ~max_states:Analysis.Reach.default_max_states ~circuit_hash
+
+let symreach_fingerprint =
+  Store.Key.symreach_fingerprint ~max_nodes:Analysis.Symreach.default_max_nodes
+
+let symreach_key ~circuit_hash =
+  Store.Key.symreach ~max_nodes:Analysis.Symreach.default_max_nodes
+    ~circuit_hash
+
 let reach ~name c =
-  let max_states = Analysis.Reach.default_max_states in
-  let key =
-    Store.Key.reach ~max_states ~circuit_hash:(Netlist.Structhash.circuit c)
-  in
+  let key = reach_key ~circuit_hash:(Netlist.Structhash.circuit c) in
   lookup reach_results ~skind:Store.Disk.Reach ~key ~name
     ~encode:Store.Codec.reach_result_to_json
     ~decode:Store.Codec.reach_result_of_json
-    (fun () -> Analysis.Reach.explore ~max_states ~name c)
+    (fun () ->
+      Analysis.Reach.explore ~max_states:Analysis.Reach.default_max_states
+        ~name c)
 
 let symreach ~name c =
-  let max_nodes = Analysis.Symreach.default_max_nodes in
-  let key =
-    Store.Key.symreach ~max_nodes ~circuit_hash:(Netlist.Structhash.circuit c)
-  in
+  let key = symreach_key ~circuit_hash:(Netlist.Structhash.circuit c) in
   lookup symreach_results ~skind:Store.Disk.Symreach ~key ~name
     ~encode:Store.Codec.symreach_summary_to_json
     ~decode:Store.Codec.symreach_summary_of_json
-    (fun () -> (Analysis.Symreach.explore ~max_nodes c).Analysis.Symreach.summary)
+    (fun () ->
+      (Analysis.Symreach.explore ~max_nodes:Analysis.Symreach.default_max_nodes
+         c)
+        .Analysis.Symreach.summary)
 
 (* The density-of-encoding data path of Tables 6-8 and Figure 3: explicit
    BFS wherever it is feasible (seed benchmarks — keeps the table numbers

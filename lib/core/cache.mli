@@ -13,6 +13,10 @@ type atpg_kind =
   | Attest  (** simulation-based directed search *)
   | Sest    (** PODEM + dynamic state learning *)
 
+(** Every engine under its name, in the order hitec, attest, sest — the
+    one list the CLI's [-e] flag and the daemon's [config.engine] read. *)
+val atpg_kinds : (string * atpg_kind) list
+
 val atpg_kind_name : atpg_kind -> string
 
 (** {1 Cache observability}
@@ -52,6 +56,16 @@ type classify_universe =
 
 val universe_name : classify_universe -> string
 
+(** The configuration fingerprint {!classify} keys its records by — the
+    [config_fp] that CLI and daemon classify runs report. *)
+val classify_fingerprint :
+  symbolic:bool -> product:bool -> classify_universe -> string
+
+(** The store key of a {!classify} record ({!Store.Disk.Classify}). *)
+val classify_key :
+  symbolic:bool -> product:bool -> classify_universe -> circuit_hash:string ->
+  string
+
 (** Run (or recall) the static untestability classifier
     ({!Analysis.Untest.classify}, default BDD budget).  [product]
     additionally runs the exact product-machine stage.  The cache key
@@ -65,32 +79,50 @@ val classify :
   Netlist.Node.t ->
   Analysis.Untest.t
 
-(** Run (or recall) an engine on a circuit; [name] labels the persisted
-    record but plays no part in the cache key.  [prove_untestable]
-    classifies first (through {!classify}, full cascade including the
-    exact product stage) and prunes proved faults — the pruned run is
-    cached under a distinct key that folds in the classification
-    fingerprint.  [struct_learn] forces conflict-driven structural
-    learning on or off (default: the [SATPG_LEARN] environment switch);
-    the flag is part of the cache key, so the two modes never alias.
+(** The ATPG configuration recipe every entry point shares: the engine's
+    base config (SEST adds state learning), its budgets scaled by
+    [budget] when given and by [SATPG_BUDGET] otherwise, and structural
+    learning from [learn] when given and from [SATPG_LEARN] otherwise —
+    except on attest, a simulation-based engine, whose flag is always off.
+    Its {!Store.Key.config_fingerprint} is the [config_fp] that CLI and
+    daemon ATPG runs report.
+    @raise Invalid_argument on a non-positive or non-finite budget. *)
+val atpg_config :
+  atpg_kind -> budget:float option -> learn:bool option -> Atpg.Types.config
 
-    [config] replaces the engine's environment-derived configuration
-    ([Atpg.Hitec.config] / [Atpg.Sest.config] / [scaled_config]) with an
-    explicit one — `satpg serve` builds it from per-request budgets.  The
-    explicit config flows into {!Store.Key.config_fingerprint} exactly
-    like the environment one, so a served run and a CLI run with equal
-    budgets share one store record.  The [struct_learn] override and the
-    attest learn-flag normalization still apply on top. *)
+(** The store key of an {!atpg} record ({!Store.Disk.Atpg}); a
+    [prove_untestable] run folds in the fingerprint of the classification
+    it prunes against. *)
+val atpg_key :
+  prove_untestable:bool -> atpg_kind -> Atpg.Types.config ->
+  circuit_hash:string -> string
+
+(** Run (or recall) an engine on a circuit under [config] (build it with
+    {!atpg_config}); [name] labels the persisted record but plays no part
+    in the cache key, which is {!atpg_key}.  [prove_untestable] classifies
+    first (through {!classify}, full cascade including the exact product
+    stage) and prunes proved faults — the pruned run is cached under a
+    distinct key that folds in the classification fingerprint. *)
 val atpg :
   ?prove_untestable:bool ->
-  ?struct_learn:bool ->
-  ?config:Atpg.Types.config ->
+  config:Atpg.Types.config ->
   atpg_kind ->
   name:string ->
   Netlist.Node.t ->
   Atpg.Types.result
 
+(** Fingerprint and store key of {!reach} records ({!Store.Disk.Reach}). *)
+val reach_fingerprint : string
+
+val reach_key : circuit_hash:string -> string
+
 val reach : name:string -> Netlist.Node.t -> Analysis.Reach.result
+
+(** Fingerprint and store key of {!symreach} records
+    ({!Store.Disk.Symreach}). *)
+val symreach_fingerprint : string
+
+val symreach_key : circuit_hash:string -> string
 
 (** Symbolic reachability (summary only — BDDs are not persistable). *)
 val symreach : name:string -> Netlist.Node.t -> Analysis.Symreach.summary

@@ -13,7 +13,11 @@ type series = {
 let compute () =
   List.map
     (fun (name, c, _period) ->
-      let atpg = Cache.atpg Cache.Hitec ~name c in
+      let atpg =
+        Cache.atpg
+          ~config:(Cache.atpg_config Cache.Hitec ~budget:None ~learn:None)
+          Cache.Hitec ~name c
+      in
       let d = Cache.density ~name c in
       {
         circuit = name;

@@ -154,3 +154,6 @@ let sensitivity_versions () =
     variant ".re.v3" ~max_lag:4 ~max_regs_factor:4 ~period_slack:0.10;
     (p.name ^ ".re", p.retimed, p.retimed_period);
   ]
+
+let circuit p ~retimed =
+  if retimed then (p.name ^ ".re", p.retimed) else (p.name, p.original)

@@ -14,6 +14,10 @@ type pair = {
   prefix_length : int;            (** P of the P ∪ T equivalence prefix *)
 }
 
+(** The original or the retimed circuit of a pair, with its display name:
+    the pair's name, plus [".re"] for the retimed one. *)
+val circuit : pair -> retimed:bool -> string * Netlist.Node.t
+
 (** Deepening period allowance used by the paper flow (see DESIGN.md §7). *)
 val default_period_slack : float
 

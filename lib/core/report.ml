@@ -1,34 +1,27 @@
 (* Whole-study driver: run every experiment, print every table, and render
    the paper-vs-measured summary used by EXPERIMENTS.md. *)
 
+(* The paper's tables and figure in print order, each under the name the
+   CLI and the daemon accept for it. *)
+let figures =
+  [
+    ("1", fun ppf -> Tables.T1.pp ppf (Tables.T1.compute ()));
+    ("2", fun ppf -> Tables.T2.pp ppf (Tables.T2.compute ()));
+    ("3", fun ppf -> Tables.T3.pp ppf (Tables.T3.compute ()));
+    ("4", fun ppf -> Tables.T4.pp ppf (Tables.T4.compute ()));
+    ("5", fun ppf -> Tables.T5.pp ppf (Tables.T5.compute ()));
+    ("6", fun ppf -> Tables.T6.pp ppf (Tables.T6.compute ()));
+    ("7", fun ppf -> Tables.T7.pp ppf (Tables.T7.compute ()));
+    ("8", fun ppf -> Tables.T8.pp ppf (Tables.T8.compute ()));
+    ("fig3", fun ppf -> Figure3.pp ppf (Figure3.compute ()));
+  ]
+
 let run_all ppf () =
-  let t1 = Tables.T1.compute () in
-  Tables.T1.pp ppf t1;
-  Fmt.pf ppf "@.";
-  let t2 = Tables.T2.compute () in
-  Tables.T2.pp ppf t2;
-  Fmt.pf ppf "@.";
-  let t3 = Tables.T3.compute () in
-  Tables.T3.pp ppf t3;
-  Fmt.pf ppf "@.";
-  let t4 = Tables.T4.compute () in
-  Tables.T4.pp ppf t4;
-  Fmt.pf ppf "@.";
-  let t5 = Tables.T5.compute () in
-  Tables.T5.pp ppf t5;
-  Fmt.pf ppf "@.";
-  let t6 = Tables.T6.compute () in
-  Tables.T6.pp ppf t6;
-  Fmt.pf ppf "@.";
-  let t7 = Tables.T7.compute () in
-  Tables.T7.pp ppf t7;
-  Fmt.pf ppf "@.";
-  let t8 = Tables.T8.compute () in
-  Tables.T8.pp ppf t8;
-  Fmt.pf ppf "@.";
-  let f3 = Figure3.compute () in
-  Figure3.pp ppf f3;
-  Fmt.pf ppf "@."
+  List.iter
+    (fun (_, pp) ->
+      pp ppf;
+      Fmt.pf ppf "@.")
+    figures
 
 (* Shape checks: the qualitative claims the reproduction must reproduce.
    Returns (claim, holds) pairs; used by tests and by the summary. *)
@@ -94,3 +87,13 @@ let pp_shape_checks ppf () =
     (fun (claim, ok) ->
       Fmt.pf ppf "  [%s] %s@." (if ok then "ok" else "FAIL") claim)
     (shape_checks ())
+
+let tables =
+  figures
+  @ [
+      ("shape", fun ppf -> pp_shape_checks ppf ());
+      ( "all",
+        fun ppf ->
+          run_all ppf ();
+          pp_shape_checks ppf () );
+    ]

@@ -9,3 +9,8 @@ val run_all : Format.formatter -> unit -> unit
 val shape_checks : unit -> (string * bool) list
 
 val pp_shape_checks : Format.formatter -> unit -> unit
+
+(** Every table the CLI and the daemon print, by name: ["1"]–["8"],
+    ["fig3"], ["shape"] (the shape checks) and ["all"] ({!run_all} then
+    the shape checks). *)
+val tables : (string * (Format.formatter -> unit)) list

@@ -11,6 +11,12 @@
 
 let ratio a b = float_of_int a /. float_of_int (max 1 b)
 
+(* A HITEC run at the environment's budget, through the result cache. *)
+let hitec ~name c =
+  Cache.atpg
+    ~config:(Cache.atpg_config Cache.Hitec ~budget:None ~learn:None)
+    Cache.Hitec ~name c
+
 (* ------------------------------------------------------------------ T1 - *)
 
 module T1 = struct
@@ -72,9 +78,13 @@ module Atpg_pair = struct
       0 r.Atpg.Types.status
 
   let compute ?prove_untestable kind (p : Flow.pair) =
-    let o = Cache.atpg ?prove_untestable kind ~name:p.Flow.name p.Flow.original in
+    let config = Cache.atpg_config kind ~budget:None ~learn:None in
+    let o =
+      Cache.atpg ?prove_untestable ~config kind ~name:p.Flow.name
+        p.Flow.original
+    in
     let r =
-      Cache.atpg ?prove_untestable kind ~name:(p.Flow.name ^ ".re")
+      Cache.atpg ?prove_untestable ~config kind ~name:(p.Flow.name ^ ".re")
         p.Flow.retimed
     in
     let wo = Atpg.Types.work_units o.Atpg.Types.stats in
@@ -201,7 +211,7 @@ module T6 = struct
   }
 
   let one name circuit =
-    let atpg = Cache.atpg Cache.Hitec ~name circuit in
+    let atpg = hitec ~name circuit in
     let d = Cache.density ~name circuit in
     (* count only traversed states that are valid (the ATPG's fault-sim path
        never leaves the valid set; justification cubes may) *)
@@ -316,8 +326,8 @@ module T8 = struct
         in
         let p = Flow.pair f a s in
         let re_name = p.Flow.name ^ ".re" in
-        let atpg_re = Cache.atpg Cache.Hitec ~name:re_name p.Flow.retimed in
-        let atpg_orig = Cache.atpg Cache.Hitec ~name:p.Flow.name p.Flow.original in
+        let atpg_re = hitec ~name:re_name p.Flow.retimed in
+        let atpg_orig = hitec ~name:p.Flow.name p.Flow.original in
         let d_re = Cache.density ~name:re_name p.Flow.retimed in
         (* fault simulate the original circuit's test set on the retimed
            circuit (the paper's PROOFS experiment) *)

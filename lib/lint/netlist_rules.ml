@@ -398,6 +398,17 @@ type oracle = {
   bdd_nodes : int;  (* nodes of the reached-set BDD *)
 }
 
+let reach_oracle c =
+  match Analysis.Symreach.explore c with
+  | r ->
+    Some
+      {
+        can_take = (fun node value -> Analysis.Symreach.can_take r node value);
+        max_nodes = Analysis.Symreach.default_max_nodes;
+        bdd_nodes = r.Analysis.Symreach.summary.Analysis.Symreach.bdd_nodes;
+      }
+  | exception (Bdd.Node_limit | Invalid_argument _) -> None
+
 let symbolic_proof oracle =
   Json.Obj
     [

@@ -87,6 +87,12 @@ type oracle = {
   bdd_nodes : int;  (** size of the reached-set BDD *)
 }
 
+(** The oracle over the proved-reachable states of a circuit
+    ({!Analysis.Symreach.explore} at its default budget); [None] when the
+    BDD budget runs out or the circuit is rejected, so lint degrades to
+    skipping NET008 instead of failing. *)
+val reach_oracle : Netlist.Node.t -> oracle option
+
 (** [seq_redundant_faults c ~can_take proved] classifies the collapsed
     fault list against a reachability oracle: [can_take src v] answers
     whether line [src] can take value [v] in some reachable state under

@@ -1,13 +1,13 @@
-(* Verb execution.  [plan] mirrors the CLI's validation so a request's
-   config object admits exactly what the flags admit: engines hitec/
-   attest/sest, jedi algorithms ji/jo/jc, scripts sr/sd, a positive
-   finite budget scale (the per-request SATPG_BUDGET), the --learn and
+(* Verb execution.  [plan] decodes a request's config object against the
+   same lib definitions the CLI flags read: the engine, algorithm, script
+   and table names (Core.Cache.atpg_kinds, Synth.Assign.algorithms,
+   Synth.Flow.scripts, Core.Report.tables), a positive finite budget
+   scale (the per-request SATPG_BUDGET), the --learn and
    --prove-untestable switches, and so on — anything else is a
-   bad_request naming the offending field.  Work is executed through
-   Core.Cache with an explicit config built by the same recipe the CLI
-   uses, so the fingerprint (Store.Key.config_fingerprint) and therefore
-   the store record of a served run and a CLI run with equal budgets are
-   identical. *)
+   bad_request naming the offending field.  The ATPG config comes from
+   Core.Cache.atpg_config and every coalescing key and config_fp from
+   Core.Cache's key and fingerprint functions, so a served run and a CLI
+   run with equal budgets share one store record by construction. *)
 
 type plan = {
   key : string option;
@@ -61,36 +61,18 @@ let get_float name config =
   | Some j ->
     bad "config.%s must be a number, got %s" name (Obs.Json.to_string j)
 
+let of_name what pairs s =
+  match List.assoc_opt s pairs with
+  | Some v -> v
+  | None ->
+    bad "%s must be one of %s, got %S" what
+      (String.concat "/" (List.map fst pairs))
+      s
+
 let get_enum name pairs ~default config =
   match get_string name config with
   | None -> default
-  | Some s ->
-    (match List.assoc_opt s pairs with
-     | Some v -> v
-     | None ->
-       bad "config.%s must be one of %s, got %S" name
-         (String.concat "/" (List.map fst pairs))
-         s)
-
-let engine_of config =
-  get_enum "engine"
-    [
-      ("hitec", Core.Cache.Hitec);
-      ("attest", Core.Cache.Attest);
-      ("sest", Core.Cache.Sest);
-    ]
-    ~default:Core.Cache.Hitec config
-
-let algorithm_of_name name = function
-  | "ji" -> Synth.Assign.Input_dominant
-  | "jo" -> Synth.Assign.Output_dominant
-  | "jc" -> Synth.Assign.Combined
-  | s -> bad "%s must be one of ji/jo/jc, got %S" name s
-
-let script_of_name name = function
-  | "sr" -> Synth.Flow.Rugged
-  | "sd" -> Synth.Flow.Delay
-  | s -> bad "%s must be one of sr/sd, got %S" name s
+  | Some s -> of_name ("config." ^ name) pairs s
 
 (* The jobs field is validated like -J (a positive width) but execution
    always uses the server's own pool: PR 4's submission-order merge makes
@@ -128,12 +110,11 @@ let resolve_source ~verb ~config (req : Protocol.request) =
       | exception Invalid_argument msg -> bad "KISS2 parse error: %s" msg
     in
     let algorithm =
-      algorithm_of_name "config.algorithm"
-        (Option.value ~default:"ji" (get_string "algorithm" config))
+      get_enum "algorithm" Synth.Assign.algorithms
+        ~default:Synth.Assign.Input_dominant config
     in
     let script =
-      script_of_name "config.script"
-        (Option.value ~default:"sr" (get_string "script" config))
+      get_enum "script" Synth.Flow.scripts ~default:Synth.Flow.Rugged config
     in
     (match Synth.Flow.synthesize ~algorithm ~script machine with
      | r ->
@@ -155,16 +136,13 @@ let resolve_source ~verb ~config (req : Protocol.request) =
                (Printf.sprintf
                   "no circuit registered under structural hash %S" h))))
   | Some (Protocol.Bench { fsm; algorithm; script; retimed }) ->
-    let algorithm = algorithm_of_name "circuit.algorithm" algorithm in
-    let script = script_of_name "circuit.script" script in
+    let algorithm =
+      of_name "circuit.algorithm" Synth.Assign.algorithms algorithm
+    in
+    let script = of_name "circuit.script" Synth.Flow.scripts script in
     (match Core.Flow.pair fsm algorithm script with
      | p ->
-       let name =
-         p.Core.Flow.name ^ if retimed then ".re" else ""
-       in
-       let c =
-         if retimed then p.Core.Flow.retimed else p.Core.Flow.original
-       in
+       let name, c = Core.Flow.circuit p ~retimed in
        let hash = Circuits.register ~name c in
        (display name, c, hash)
      | exception (Not_found | Failure _) ->
@@ -191,11 +169,7 @@ let manifest ~command ?circuit ?circuit_hash ?config_fp ?engine ~budget
       ?config_fp ?engine ~jobs:(Exec.Pool.jobs ()) ~budget ~work_units
       ~metrics:(Obs.Json.Obj []) ~spans:[] ~event_lines:[] ()
   in
-  if Store.Disk.enabled () then
-    ignore
-      (Store.Disk.save Store.Disk.Manifest ~key:(Obs.Ledger.id m)
-         ~name:("serve-" ^ command)
-         (Store.Codec.manifest_to_json m));
+  Store.Disk.save_manifest ~name:("serve-" ^ command) m;
   m
 
 let provenance m =
@@ -208,103 +182,52 @@ let cache_field () =
   ( "cache",
     Obs.Json.String (Core.Cache.outcome_string (Core.Cache.last_outcome ())) )
 
+(* The answer of a circuit verb, right after its computation: verb,
+   circuit and hash, the verb's [labels], the cache outcome, the
+   provenance of a fresh manifest, then the verb's [fields]. *)
+let respond ~verb ~name ~hash ?config_fp ?engine ~budget ~work_units labels
+    fields =
+  let cache = cache_field () in
+  let m =
+    manifest ~command:verb ~circuit:name ~circuit_hash:hash ?config_fp ?engine
+      ~budget ~work_units ()
+  in
+  Ok
+    ([
+       ("verb", Obs.Json.String verb);
+       ("circuit", Obs.Json.String name);
+       ("circuit_hash", Obs.Json.String hash);
+     ]
+    @ labels @ (cache :: provenance m) @ fields)
+
 (* ----------------------------------------------------------------- atpg - *)
 
-let atpg_env_config = function
-  | Core.Cache.Hitec -> Atpg.Hitec.config ()
-  | Core.Cache.Sest -> Atpg.Sest.config ()
-  | Core.Cache.Attest -> Atpg.Types.scaled_config ()
-
-(* The request-budget path reproduces the engine recipes
-   (Atpg.Hitec.config etc.) with the scale taken from the request instead
-   of SATPG_BUDGET; with no budget field the env path is used verbatim. *)
-let atpg_request_config ~engine ~budget =
-  match budget with
-  | None -> atpg_env_config engine
-  | Some f ->
-    let base =
-      match engine with
-      | Core.Cache.Hitec ->
-        { Atpg.Types.default_config with Atpg.Types.learn = false }
-      | Core.Cache.Sest ->
-        { Atpg.Types.default_config with Atpg.Types.learn = true }
-      | Core.Cache.Attest -> Atpg.Types.default_config
-    in
-    let base =
-      if Atpg.Types.env_struct_learn () then
-        { base with Atpg.Types.struct_learn = true }
-      else base
-    in
-    Atpg.Types.scale_budgets base f
-
-(* Mirror of the overrides Core.Cache.atpg applies on top of the config,
-   so the key/fingerprint computed here for coalescing equals the one the
-   cache computes internally. *)
-let atpg_effective_config ~engine ~learn config =
-  let config =
-    match learn with
-    | None -> config
-    | Some b -> { config with Atpg.Types.struct_learn = b }
-  in
-  match engine with
-  | Core.Cache.Attest -> { config with Atpg.Types.struct_learn = false }
-  | Core.Cache.Hitec | Core.Cache.Sest -> config
-
 let plan_atpg ~config ~name ~circuit ~hash =
-  let engine = engine_of config in
+  let engine =
+    get_enum "engine" Core.Cache.atpg_kinds ~default:Core.Cache.Hitec config
+  in
   let budget = get_float "budget" config in
   let learn =
-    match get "learn" config with
-    | None -> None
-    | Some (Obs.Json.Bool b) -> Some b
-    | Some j ->
-      bad "config.learn must be a boolean, got %s" (Obs.Json.to_string j)
+    Option.map
+      (fun _ -> get_bool ~default:false "learn" config)
+      (get "learn" config)
   in
   let prove = get_bool ~default:false "prove_untestable" config in
-  let request_config = atpg_request_config ~engine ~budget in
-  let effective = atpg_effective_config ~engine ~learn request_config in
-  let classify_fp =
-    if not prove then None
-    else
-      Some
-        (Store.Key.classify_fingerprint ~symbolic:true
-           ~max_nodes:Analysis.Symreach.default_max_nodes ~product:true
-           ~universe:"collapsed")
-  in
+  let cfg = Core.Cache.atpg_config engine ~budget ~learn in
   let key =
-    Store.Key.atpg
-      ~engine:(Core.Cache.atpg_kind_name engine)
-      ~config:effective ?classify:classify_fp ~circuit_hash:hash ()
+    Core.Cache.atpg_key ~prove_untestable:prove engine cfg ~circuit_hash:hash
   in
   let run () =
     let r =
-      match budget with
-      | None ->
-        Core.Cache.atpg ~prove_untestable:prove ?struct_learn:learn engine
-          ~name circuit
-      | Some _ ->
-        Core.Cache.atpg ~prove_untestable:prove ?struct_learn:learn
-          ~config:request_config engine ~name circuit
+      Core.Cache.atpg ~prove_untestable:prove ~config:cfg engine ~name circuit
     in
-    let cache = cache_field () in
-    let m =
-      manifest ~command:"atpg" ~circuit:name ~circuit_hash:hash
-        ~config_fp:(Store.Key.config_fingerprint effective)
-        ~engine:(Core.Cache.atpg_kind_name engine)
-        ~budget
-        ~work_units:(Atpg.Types.work_units r.Atpg.Types.stats)
-        ()
-    in
-    Ok
-      ([
-         ("verb", Obs.Json.String "atpg");
-         ("circuit", Obs.Json.String name);
-         ("circuit_hash", Obs.Json.String hash);
-         ("engine", Obs.Json.String (Core.Cache.atpg_kind_name engine));
-         cache;
-       ]
-      @ provenance m
-      @ [ ("result", Atpg.Types.result_to_json r) ])
+    let engine = Core.Cache.atpg_kind_name engine in
+    respond ~verb:"atpg" ~name ~hash
+      ~config_fp:(Store.Key.config_fingerprint cfg)
+      ~engine ~budget
+      ~work_units:(Atpg.Types.work_units r.Atpg.Types.stats)
+      [ ("engine", Obs.Json.String engine) ]
+      [ ("result", Atpg.Types.result_to_json r) ]
   in
   { key = Some ("atpg:" ^ key); run }
 
@@ -321,25 +244,13 @@ let plan_reach ~config ~name ~circuit ~hash =
     | `Auto -> if Analysis.Reach.feasible circuit then `Explicit else `Symbolic
     | (`Explicit | `Symbolic) as m -> m
   in
-  let common r_fields fp work_units =
-    let cache = cache_field () in
-    let m =
-      manifest ~command:"reach" ~circuit:name ~circuit_hash:hash ~config_fp:fp
-        ~budget:None ~work_units ()
-    in
-    Ok
-      ([
-         ("verb", Obs.Json.String "reach");
-         ("circuit", Obs.Json.String name);
-         ("circuit_hash", Obs.Json.String hash);
-         cache;
-       ]
-      @ provenance m @ r_fields)
+  let common r_fields config_fp =
+    respond ~verb:"reach" ~name ~hash ~config_fp ~budget:None ~work_units:0 []
+      r_fields
   in
   match mode with
   | `Explicit ->
-    let max_states = Analysis.Reach.default_max_states in
-    let key = "reach:" ^ Store.Key.reach ~max_states ~circuit_hash:hash in
+    let key = "reach:" ^ Core.Cache.reach_key ~circuit_hash:hash in
     let run () =
       match Core.Cache.reach ~name circuit with
       | r ->
@@ -352,15 +263,13 @@ let plan_reach ~config ~name ~circuit ~hash =
               Obs.Json.Float (Analysis.Reach.total_states r) );
             ("density", Obs.Json.Float (Analysis.Reach.density r));
           ]
-          (Store.Key.reach_fingerprint ~max_states)
-          0
+          Core.Cache.reach_fingerprint
       | exception Invalid_argument msg ->
         Error (Protocol.error Protocol.Bad_request msg)
     in
     { key = Some key; run }
   | `Symbolic ->
-    let max_nodes = Analysis.Symreach.default_max_nodes in
-    let key = "symreach:" ^ Store.Key.symreach ~max_nodes ~circuit_hash:hash in
+    let key = "symreach:" ^ Core.Cache.symreach_key ~circuit_hash:hash in
     let run () =
       match Core.Cache.symreach ~name circuit with
       | s ->
@@ -376,14 +285,13 @@ let plan_reach ~config ~name ~circuit ~hash =
             ("depth", Obs.Json.Int s.Analysis.Symreach.depth);
             ("bdd_nodes", Obs.Json.Int s.Analysis.Symreach.bdd_nodes);
           ]
-          (Store.Key.symreach_fingerprint ~max_nodes)
-          0
+          Core.Cache.symreach_fingerprint
       | exception Bdd.Node_limit ->
         Error
           (Protocol.error Protocol.Bad_request
              (Printf.sprintf
                 "BDD node budget (%d) exhausted during symbolic reachability"
-                max_nodes))
+                Analysis.Symreach.default_max_nodes))
     in
     { key = Some key; run }
 
@@ -399,43 +307,18 @@ let plan_classify ~config ~name ~circuit ~hash =
       ]
       ~default:Core.Cache.Collapsed config
   in
-  let max_nodes = Analysis.Symreach.default_max_nodes in
   let key =
     "classify:"
-    ^ Store.Key.classify ~symbolic ~max_nodes ~product
-        ~universe:(Core.Cache.universe_name universe)
-        ~circuit_hash:hash
+    ^ Core.Cache.classify_key ~symbolic ~product universe ~circuit_hash:hash
   in
   let run () =
     let t = Core.Cache.classify ~symbolic ~product ~universe ~name circuit in
     let s = t.Analysis.Untest.summary in
-    let cache = cache_field () in
-    let m =
-      manifest ~command:"classify" ~circuit:name ~circuit_hash:hash
-        ~config_fp:
-          (Store.Key.classify_fingerprint ~symbolic ~max_nodes ~product
-             ~universe:(Core.Cache.universe_name universe))
-        ~budget:None ~work_units:s.Analysis.Untest.work ()
-    in
-    Ok
-      ([
-         ("verb", Obs.Json.String "classify");
-         ("circuit", Obs.Json.String name);
-         ("circuit_hash", Obs.Json.String hash);
-         ("universe", Obs.Json.String (Core.Cache.universe_name universe));
-         cache;
-       ]
-      @ provenance m
-      @ [
-          ("faults", Obs.Json.Int s.Analysis.Untest.total);
-          ("proved_untestable", Obs.Json.Int s.Analysis.Untest.proved);
-          ("structural", Obs.Json.Int s.Analysis.Untest.structural);
-          ("ternary", Obs.Json.Int s.Analysis.Untest.ternary);
-          ("symbolic", Obs.Json.Int s.Analysis.Untest.symbolic);
-          ("symbolic_ran", Obs.Json.Bool s.Analysis.Untest.symbolic_ran);
-          ("bdd_nodes", Obs.Json.Int s.Analysis.Untest.bdd_nodes);
-          ("work_units", Obs.Json.Int s.Analysis.Untest.work);
-        ])
+    respond ~verb:"classify" ~name ~hash
+      ~config_fp:(Core.Cache.classify_fingerprint ~symbolic ~product universe)
+      ~budget:None ~work_units:s.Analysis.Untest.work
+      [ ("universe", Obs.Json.String (Core.Cache.universe_name universe)) ]
+      (Analysis.Untest.summary_fields s)
   in
   { key = Some key; run }
 
@@ -446,77 +329,33 @@ let plan_lint ~config ~name ~circuit ~hash =
   let key = Printf.sprintf "lint:%s:%b" hash symbolic in
   let run () =
     let oracle =
-      if not symbolic then None
-      else
-        match Analysis.Symreach.explore circuit with
-        | r ->
-          Some
-            {
-              Lint.Netlist_rules.can_take =
-                (fun node value -> Analysis.Symreach.can_take r node value);
-              max_nodes = Analysis.Symreach.default_max_nodes;
-              bdd_nodes =
-                r.Analysis.Symreach.summary.Analysis.Symreach.bdd_nodes;
-            }
-        | exception (Bdd.Node_limit | Invalid_argument _) -> None
+      if symbolic then Lint.Netlist_rules.reach_oracle circuit else None
     in
     Core.Cache.note_bypass ();
     let s = Lint.Report.lint_netlist ?oracle circuit in
-    let cache = cache_field () in
-    let m =
-      manifest ~command:"lint" ~circuit:name ~circuit_hash:hash ~budget:None
-        ~work_units:0 ()
-    in
-    Ok
-      ([
-         ("verb", Obs.Json.String "lint");
-         ("circuit", Obs.Json.String name);
-         ("circuit_hash", Obs.Json.String hash);
-         cache;
-       ]
-      @ provenance m
-      @ [
-          ("errors", Obs.Json.Bool (Lint.Diag.has_errors s.Lint.Report.diags));
-          ("report", Lint.Report.netlist_to_json ~name circuit s);
-        ])
+    respond ~verb:"lint" ~name ~hash ~budget:None ~work_units:0 []
+      [
+        ("errors", Obs.Json.Bool (Lint.Diag.has_errors s.Lint.Report.diags));
+        ("report", Lint.Report.netlist_to_json ~name circuit s);
+      ]
   in
   { key = Some key; run }
 
 (* --------------------------------------------------------------- tables - *)
 
 let plan_tables ~config =
-  let which =
-    match get_string "table" config with
-    | None -> "shape"
-    | Some s
-      when List.mem s
-             [ "1"; "2"; "3"; "4"; "5"; "6"; "7"; "8"; "fig3"; "shape"; "all" ]
-      -> s
-    | Some s -> bad "config.table must be 1-8, fig3, shape or all, got %S" s
+  let which, pp =
+    let s = Option.value ~default:"shape" (get_string "table" config) in
+    match List.assoc_opt s Core.Report.tables with
+    | Some pp -> (s, pp)
+    | None -> bad "config.table must be 1-8, fig3, shape or all, got %S" s
   in
   let env_budget =
     match Sys.getenv_opt "SATPG_BUDGET" with Some s -> s | None -> ""
   in
   let key = Printf.sprintf "tables:%s:%s" which env_budget in
   let run () =
-    let text =
-      Format.asprintf "%t" (fun ppf ->
-          match which with
-          | "1" -> Core.Tables.T1.pp ppf (Core.Tables.T1.compute ())
-          | "2" -> Core.Tables.T2.pp ppf (Core.Tables.T2.compute ())
-          | "3" -> Core.Tables.T3.pp ppf (Core.Tables.T3.compute ())
-          | "4" -> Core.Tables.T4.pp ppf (Core.Tables.T4.compute ())
-          | "5" -> Core.Tables.T5.pp ppf (Core.Tables.T5.compute ())
-          | "6" -> Core.Tables.T6.pp ppf (Core.Tables.T6.compute ())
-          | "7" -> Core.Tables.T7.pp ppf (Core.Tables.T7.compute ())
-          | "8" -> Core.Tables.T8.pp ppf (Core.Tables.T8.compute ())
-          | "fig3" -> Core.Figure3.pp ppf (Core.Figure3.compute ())
-          | "shape" -> Core.Report.pp_shape_checks ppf ()
-          | "all" ->
-            Core.Report.run_all ppf ();
-            Core.Report.pp_shape_checks ppf ()
-          | _ -> assert false)
-    in
+    let text = Format.asprintf "%t" pp in
     let checks_ok =
       match which with
       | "shape" | "all" ->
@@ -569,30 +408,19 @@ let plan_fsim ~config ~name ~circuit ~hash =
     let detected =
       Array.fold_left (fun a d -> if d then a + 1 else a) 0 r.Fsim.Engine.detected
     in
-    let cache = cache_field () in
-    let m =
-      manifest ~command:"fsim" ~circuit:name ~circuit_hash:hash ~budget:None
-        ~work_units:r.Fsim.Engine.sim_cycles ()
-    in
-    Ok
-      ([
-         ("verb", Obs.Json.String "fsim");
-         ("circuit", Obs.Json.String name);
-         ("circuit_hash", Obs.Json.String hash);
-         cache;
-       ]
-      @ provenance m
-      @ [
-          ("faults", Obs.Json.Int (Array.length faults));
-          ("detected", Obs.Json.Int detected);
-          ( "coverage_percent",
-            Obs.Json.Float
-              (Fsim.Engine.coverage ~detected ~total:(Array.length faults)) );
-          ("vectors", Obs.Json.Int vectors);
-          ("seed", Obs.Json.Int seed);
-          ("cycles", Obs.Json.Int r.Fsim.Engine.cycles);
-          ("sim_cycles", Obs.Json.Int r.Fsim.Engine.sim_cycles);
-        ])
+    respond ~verb:"fsim" ~name ~hash ~budget:None
+      ~work_units:r.Fsim.Engine.sim_cycles []
+      [
+        ("faults", Obs.Json.Int (Array.length faults));
+        ("detected", Obs.Json.Int detected);
+        ( "coverage_percent",
+          Obs.Json.Float
+            (Fsim.Engine.coverage ~detected ~total:(Array.length faults)) );
+        ("vectors", Obs.Json.Int vectors);
+        ("seed", Obs.Json.Int seed);
+        ("cycles", Obs.Json.Int r.Fsim.Engine.cycles);
+        ("sim_cycles", Obs.Json.Int r.Fsim.Engine.sim_cycles);
+      ]
   in
   { key = Some key; run }
 

@@ -151,6 +151,11 @@ let save kind ~key ~name payload =
              (Unix.error_message err));
        false)
 
+let save_manifest ~name m =
+  ignore
+    (save Manifest ~key:(Obs.Ledger.id m) ~name (Codec.manifest_to_json m)
+      : bool)
+
 (* ------------------------------------------- stats / clear / verification - *)
 
 type entry = { kind : kind; key : string; path : string; bytes : int }

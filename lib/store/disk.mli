@@ -42,6 +42,10 @@ val load : kind -> key:string -> load_result
     never raises). *)
 val save : kind -> key:string -> name:string -> Obs.Json.t -> bool
 
+(** Persist a run manifest under its own content-addressed id
+    (best-effort, like {!save}; a no-op when the store is disabled). *)
+val save_manifest : name:string -> Obs.Ledger.t -> unit
+
 type entry = { kind : kind; key : string; path : string; bytes : int }
 
 (** Every record currently in the store, in deterministic order. *)

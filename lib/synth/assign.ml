@@ -10,10 +10,10 @@
 
 type algorithm = Input_dominant | Output_dominant | Combined
 
-let algorithm_tag = function
-  | Input_dominant -> "ji"
-  | Output_dominant -> "jo"
-  | Combined -> "jc"
+let algorithms =
+  [ ("ji", Input_dominant); ("jo", Output_dominant); ("jc", Combined) ]
+
+let algorithm_tag a = fst (List.find (fun (_, b) -> b = a) algorithms)
 
 let bits_needed n =
   let rec loop b = if 1 lsl b >= n then b else loop (b + 1) in

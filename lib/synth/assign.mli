@@ -8,6 +8,11 @@ type algorithm =
   | Output_dominant  (** common successors / similar outputs ("jo") *)
   | Combined         (** sum of both ("jc") *)
 
+(** Every algorithm under its circuit-name field, in the order
+    ji, jo, jc — the one list the CLI flags and the daemon's request
+    decoder both read. *)
+val algorithms : (string * algorithm) list
+
 (** The circuit-name field: "ji", "jo" or "jc". *)
 val algorithm_tag : algorithm -> string
 

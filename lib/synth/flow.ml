@@ -6,7 +6,9 @@
 
 type script = Rugged | Delay
 
-let script_tag = function Rugged -> "sr" | Delay -> "sd"
+let scripts = [ ("sr", Rugged); ("sd", Delay) ]
+
+let script_tag s = fst (List.find (fun (_, t) -> t = s) scripts)
 
 type result = {
   name : string;

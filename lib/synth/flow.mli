@@ -10,6 +10,9 @@ type script =
   | Rugged  (** area-oriented, like SIS script.rugged; mapped for area *)
   | Delay   (** depth-oriented, like SIS script.delay; mapped for delay *)
 
+(** Every script under its circuit-name field, in the order sr, sd. *)
+val scripts : (string * script) list
+
 val script_tag : script -> string
 
 type result = {

@@ -306,6 +306,182 @@ let test_stats_fields () =
   Alcotest.(check bool) "reports pool width" true
     (match J.member "jobs" j with Some (J.Int n) -> n >= 1 | _ -> false)
 
+(* ---------------------------------------------- CLI/daemon key agreement *)
+
+(* Run [f] with [var] set to [value] ("" counts as unset for every
+   SATPG_* variable), restoring the previous value afterwards. *)
+let with_env var value f =
+  let saved = Option.value ~default:"" (Sys.getenv_opt var) in
+  Unix.putenv var value;
+  Fun.protect ~finally:(fun () -> Unix.putenv var saved) f
+
+let s27_request verb config =
+  J.to_string
+    (J.Obj
+       [
+         ("verb", J.String verb);
+         ("circuit", J.Obj [ ("blif", J.String (s27_blif ())) ]);
+         ("config", J.Obj config);
+       ])
+
+(* Plan and run [line] against a fresh store, then check the three
+   agreements that let a served run and a CLI run share store records:
+   the coalescing key minus [prefix] is the key Core.Cache stored the
+   record under, the response's config_fp is field [fp_field] of that
+   key, and it equals [cli_fp], the fingerprint the CLI derives for the
+   same flags.  Returns the response's config_fp. *)
+let check_agreement ~what ~prefix ~kind ~fp_field ~cli_fp line =
+  with_store @@ fun () ->
+  let p =
+    match Serve.Dispatch.plan (request line) with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "%s: plan failed: %s" what e.P.message
+  in
+  let store_key =
+    match p.Serve.Dispatch.key with
+    | Some k when String.starts_with ~prefix k ->
+      let n = String.length prefix in
+      String.sub k n (String.length k - n)
+    | Some k -> Alcotest.failf "%s: key %S lacks the %S prefix" what k prefix
+    | None -> Alcotest.failf "%s: no coalescing key" what
+  in
+  let fields =
+    match p.Serve.Dispatch.run () with
+    | Ok fields -> fields
+    | Error e -> Alcotest.failf "%s: run failed: %s" what e.P.message
+  in
+  (match Store.Disk.load kind ~key:store_key with
+   | Store.Disk.Found _ -> ()
+   | Store.Disk.Absent | Store.Disk.Corrupt _ ->
+     Alcotest.failf "%s: no store record under the plan key %s" what store_key);
+  let fp =
+    match Option.bind (J.member "config_fp" (J.Obj fields)) J.to_string_opt with
+    | Some fp -> fp
+    | None -> Alcotest.failf "%s: response has no config_fp" what
+  in
+  Alcotest.(check string)
+    (what ^ ": config_fp is the key's fingerprint")
+    (List.nth (String.split_on_char '-' store_key) fp_field)
+    fp;
+  Alcotest.(check string) (what ^ ": CLI recipe gives the same fingerprint")
+    cli_fp fp;
+  fp
+
+let test_atpg_key_agreement () =
+  let opt f = function None -> "absent" | Some v -> f v in
+  let combos =
+    List.concat_map
+      (fun engine ->
+        List.concat_map
+          (fun learn ->
+            List.concat_map
+              (fun budget ->
+                List.map (fun prove -> (engine, learn, budget, prove))
+                  [ false; true ])
+              [ None; Some 0.05 ])
+          [ None; Some true; Some false ])
+      Core.Cache.atpg_kinds
+  in
+  with_env "SATPG_LEARN" "" @@ fun () ->
+  with_env "SATPG_BUDGET" "" @@ fun () ->
+  let attest_fps = Hashtbl.create 4 in
+  List.iter
+    (fun ((engine, kind), learn, budget, prove) ->
+      let what =
+        Printf.sprintf "atpg %s learn=%s budget=%s prove=%b" engine
+          (opt string_of_bool learn)
+          (opt (Printf.sprintf "%g") budget)
+          prove
+      in
+      let config =
+        [ ("engine", J.String engine); ("prove_untestable", J.Bool prove) ]
+        @ (match learn with None -> [] | Some b -> [ ("learn", J.Bool b) ])
+        @ match budget with None -> [] | Some f -> [ ("budget", J.Float f) ]
+      in
+      (* the CLI takes the budget from SATPG_BUDGET and has only --learn,
+         whose absence means off while SATPG_LEARN is unset *)
+      let cli_fp =
+        with_env "SATPG_BUDGET"
+          (Option.fold ~none:"" ~some:(Printf.sprintf "%g") budget)
+          (fun () ->
+            Store.Key.config_fingerprint
+              (Core.Cache.atpg_config kind ~budget:None
+                 ~learn:(if learn = Some true then Some true else None)))
+      in
+      let fp =
+        check_agreement ~what ~prefix:"atpg:" ~kind:Store.Disk.Atpg
+          ~fp_field:2 ~cli_fp
+          (s27_request "atpg" config)
+      in
+      if kind = Core.Cache.Attest then Hashtbl.add attest_fps budget fp)
+    combos;
+  (* attest ignores learning, so learn must not fork its fingerprint *)
+  List.iter
+    (fun budget ->
+      Alcotest.(check int) "attest: one fingerprint per budget" 1
+        (List.length
+           (List.sort_uniq compare (Hashtbl.find_all attest_fps budget))))
+    [ None; Some 0.05 ]
+
+let test_classify_key_agreement () =
+  List.iter
+    (fun (symbolic, product) ->
+      ignore
+        (check_agreement
+           ~what:
+             (Printf.sprintf "classify symbolic=%b product=%b" symbolic
+                product)
+           ~prefix:"classify:" ~kind:Store.Disk.Classify ~fp_field:1
+           ~cli_fp:
+             (Core.Cache.classify_fingerprint ~symbolic ~product
+                Core.Cache.Collapsed)
+           (s27_request "classify"
+              [ ("symbolic", J.Bool symbolic); ("product", J.Bool product) ])
+          : string))
+    [ (true, false); (true, true); (false, false); (false, true) ]
+
+let test_reach_key_agreement () =
+  List.iter
+    (fun (mode, prefix, kind, cli_fp) ->
+      ignore
+        (check_agreement ~what:("reach " ^ mode) ~prefix ~kind ~fp_field:1
+           ~cli_fp
+           (s27_request "reach" [ ("mode", J.String mode) ])
+          : string))
+    [
+      ("explicit", "reach:", Store.Disk.Reach, Core.Cache.reach_fingerprint);
+      ( "symbolic", "symreach:", Store.Disk.Symreach,
+        Core.Cache.symreach_fingerprint );
+    ]
+
+(* Both entry points read Core.Report.tables: the daemon answers an
+   unknown name with its bad_request text, the CLI with a usage error. *)
+let test_unknown_table_rejected () =
+  (match
+     Serve.Dispatch.plan
+       (request {|{"verb":"tables","config":{"table":"nine"}}|})
+   with
+   | Error e ->
+     Alcotest.(check string) "daemon code" "bad_request"
+       (P.error_code_name e.P.code);
+     Alcotest.(check string) "daemon message"
+       {|config.table must be 1-8, fig3, shape or all, got "nine"|}
+       e.P.message
+   | Ok _ -> Alcotest.fail "daemon planned an unknown table");
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close null)
+      (fun () ->
+        Unix.create_process "../bin/satpg.exe"
+          [| "satpg"; "tables"; "nine" |]
+          Unix.stdin null null)
+  in
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED code ->
+    Alcotest.(check int) "CLI exits with a usage error" 124 code
+  | _ -> Alcotest.fail "satpg tables nine did not exit normally"
+
 (* -------------------------------------------------------- s27 ingestion *)
 
 let test_s27_ingest () =
@@ -515,6 +691,12 @@ let suite =
     Alcotest.test_case "hash reference" `Quick test_plan_hash_reference;
     Alcotest.test_case "plan validation" `Quick test_plan_validation;
     Alcotest.test_case "stats fields" `Quick test_stats_fields;
+    Alcotest.test_case "atpg key agreement" `Quick test_atpg_key_agreement;
+    Alcotest.test_case "classify key agreement" `Quick
+      test_classify_key_agreement;
+    Alcotest.test_case "reach key agreement" `Quick test_reach_key_agreement;
+    Alcotest.test_case "unknown table rejected" `Quick
+      test_unknown_table_rejected;
     Alcotest.test_case "s27 ingest" `Quick test_s27_ingest;
     Alcotest.test_case "server end to end" `Quick test_server_end_to_end;
     Alcotest.test_case "shutdown verb" `Quick test_server_shutdown_verb;

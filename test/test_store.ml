@@ -472,14 +472,20 @@ let test_disk_rejects_key_mismatch () =
 
 (* ------------------------------------------------------ cache integration *)
 
+(* HITEC through the cache at the environment's budget, read per call *)
+let cached_hitec ~name c =
+  Core.Cache.atpg
+    ~config:(Core.Cache.atpg_config Core.Cache.Hitec ~budget:None ~learn:None)
+    Core.Cache.Hitec ~name c
+
 let test_cache_persists_across_memory_reset () =
   with_store (fun _ ->
       let c = Helpers.toy_circuit () in
-      let r1 = Core.Cache.atpg Core.Cache.Hitec ~name:"toy" c in
+      let r1 = cached_hitec ~name:"toy" c in
       Alcotest.(check string) "cold run computes" "miss"
         (Core.Cache.outcome_string (Core.Cache.last_outcome ()));
       Core.Cache.reset_memory ();
-      let r2 = Core.Cache.atpg Core.Cache.Hitec ~name:"toy" c in
+      let r2 = cached_hitec ~name:"toy" c in
       Alcotest.(check string) "warm run served from disk" "disk-hit"
         (Core.Cache.outcome_string (Core.Cache.last_outcome ()));
       Alcotest.(check bool) "statuses identical" true
@@ -512,13 +518,13 @@ let test_cache_recovers_from_corruption () =
 let test_cache_budget_enters_key () =
   with_store (fun _ ->
       let c = Helpers.toy_circuit () in
-      ignore (Core.Cache.atpg Core.Cache.Hitec ~name:"toy" c);
+      ignore (cached_hitec ~name:"toy" c);
       Core.Cache.reset_memory ();
       Unix.putenv "SATPG_BUDGET" "0.5";
       Fun.protect
         ~finally:(fun () -> Unix.putenv "SATPG_BUDGET" "")
         (fun () ->
-          ignore (Core.Cache.atpg Core.Cache.Hitec ~name:"toy" c);
+          ignore (cached_hitec ~name:"toy" c);
           Alcotest.(check string) "scaled budget derives a fresh key" "miss"
             (Core.Cache.outcome_string (Core.Cache.last_outcome ()))))
 
