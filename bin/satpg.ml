@@ -622,19 +622,14 @@ let lint_cmd =
     Arg.(value & flag
          & info [ "no-symbolic" ]
              ~doc:
-               "Skip the NET008 sequential-redundancy rule (no symbolic \
-                reachability oracle is built).")
+               "Classify untestable faults without the BDD stages: no \
+                symbolic reachability runs, so NET008 is skipped.")
   in
   let run () fsm alg script json fail_on_error scoap no_symbolic =
     let p = Core.Flow.pair fsm alg script in
     let machine = Fsm.Benchmarks.machine p.Core.Flow.fsm in
     let fsm_diags = Lint.Report.lint_fsm machine in
-    let lint c =
-      let oracle =
-        if no_symbolic then None else Lint.Netlist_rules.reach_oracle c
-      in
-      Lint.Report.lint_netlist ?oracle c
-    in
+    let lint = Lint.Report.lint_netlist ~symbolic:(not no_symbolic) in
     let so = lint p.Core.Flow.original in
     let sr = lint p.Core.Flow.retimed in
     let invariant_match =
@@ -642,8 +637,8 @@ let lint_cmd =
     in
     if json then
       print_endline
-        (Lint.Json.to_string
-           (Lint.Json.Obj
+        (Obs.Json.to_string
+           (Obs.Json.Obj
               [
                 ("fsm", Lint.Report.fsm_to_json ~name:fsm fsm_diags);
                 ( "original",
@@ -653,7 +648,7 @@ let lint_cmd =
                   Lint.Report.netlist_to_json ~include_scoap:scoap
                     ~name:(p.Core.Flow.name ^ ".re")
                     p.Core.Flow.retimed sr );
-                ("invariant_match", Lint.Json.Bool invariant_match);
+                ("invariant_match", Obs.Json.Bool invariant_match);
               ]))
     else begin
       Fmt.pr "%a" Lint.Report.pp_fsm (fsm, fsm_diags);

@@ -21,8 +21,8 @@
    or gate output stem without the lattice knowing about faults.
 
    The sweep structure (and therefore the exact iteration count and
-   result) is identical to the original Lint.Constants loop; [constants]
-   below is that analysis, re-expressed as an instance. *)
+   result) is identical to the original in-place ternary constants loop;
+   [constants] below is that analysis, re-expressed as an instance. *)
 
 let run ?(max_climbs = 1) ?force ~equal ~join ~default ~pi ~dff_seed ~gate c =
   let n = Netlist.Node.num_nodes c in

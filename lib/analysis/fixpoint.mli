@@ -3,8 +3,8 @@
     One shared implementation of the "evaluate combinationally, join each
     register's next-state value into its running abstraction, repeat to
     fixpoint" loop used by ternary constant propagation
-    ({!Lint.Constants} delegates here) and by {!Untest}'s fault
-    effect-cone analysis.
+    (lint's NET005 and {!Untest}'s excitation stage) and by {!Untest}'s
+    fault effect-cone analysis.
 
     Requires a cycle-free circuit ([order] is trusted); callers run it
     only after the structural lint rules pass. *)
@@ -46,5 +46,5 @@ val join3 : Sim.Value3.t -> Sim.Value3.t -> Sim.Value3.t
     every value it can take in any reachable cycle: PIs are [X],
     registers widen from their power-up values.  A [Zero]/[One] result
     is a proof of constancy.  Bit-identical to the historical
-    [Lint.Constants.values] loop, which now delegates here. *)
+    in-place sweep loop (regression-tested). *)
 val constants : Netlist.Node.t -> Sim.Value3.t array

@@ -147,8 +147,7 @@ let m_work = Obs.Metrics.counter "untest.work"
    are preserved verbatim by retiming, which only moves registers along
    wires, so a correct retiming must leave this set's untestability
    pointwise invariant; DFF-site faults are excluded because the
-   register count itself legitimately changes.  Mirrors the exclusions
-   of [Lint.Netlist_rules.invariant_untestable_count]. *)
+   register count itself legitimately changes. *)
 let invariant_faults c =
   let out = ref [] in
   let add site = out := { Fsim.Fault.site; stuck = true } :: { Fsim.Fault.site; stuck = false } :: !out
@@ -241,9 +240,8 @@ let dff_hit c e = Array.exists (fun id -> e.(id)) c.Netlist.Node.dffs
 
 (* ------------------------------------------------- structural stage (A) - *)
 
-(* Backward connectivity from the POs, registers transparent — the same
-   invariant-under-retiming reachability Lint's NET004 uses (lint sits
-   above this library, so the ~40-line BFS lives here too). *)
+(* Backward connectivity from the POs, registers transparent: pure
+   graph reachability, invariant under retiming (also lint's NET004). *)
 let structurally_observable c =
   let n = Netlist.Node.num_nodes c in
   let obs = Array.make n false in

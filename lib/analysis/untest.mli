@@ -11,7 +11,7 @@
     to a wrong verdict.
 
     Requires a cycle-free circuit (trusts [order], like
-    {!Lint.Constants}). *)
+    {!Fixpoint.constants}). *)
 
 type cause =
   | Unobservable            (** no structural path from the site to a PO *)
@@ -109,7 +109,8 @@ val presimulate : work:int ref -> Netlist.Node.t -> Fsim.Fault.t array -> bool a
 val reachable_constants :
   max_nodes:int -> Netlist.Node.t -> (bool option array * int) option
 
-(** Exposed for tests: structural backward connectivity from the POs. *)
+(** Structural backward connectivity from the POs, registers
+    transparent (stage A; also lint's NET004). *)
 val structurally_observable : Netlist.Node.t -> bool array
 
 (** Exposed for tests: the fault's source line (its stem, or the line

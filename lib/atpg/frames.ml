@@ -281,17 +281,3 @@ let x_path t =
   (* a D already sitting on a PO or escaping is handled by [detected] and
      [d_escapes]; X-path covers the potential future *)
   { reaches_po = !reaches_po; escapes = !escapes }
-
-(* Good-machine value of the fault site in frame 0 (for excitation). *)
-let site_good_value t =
-  match t.fault with
-  | None -> Sim.Value3.X
-  | Some f ->
-    (match f.Fsim.Fault.site with
-     | Fsim.Fault.Stem id -> t.good.(0).(id)
-     | Fsim.Fault.Pin { gate; pin } ->
-       t.good.(0).((Netlist.Node.node t.circuit gate).Netlist.Node.fanins.(pin)))
-
-(* Required present-state cube of frame 0 as a printable signature. *)
-let ps0_signature t =
-  String.init (Array.length t.ps0) (fun j -> Sim.Value3.to_char t.ps0.(j))

@@ -63,9 +63,3 @@ type x_path = {
 (** X-path analysis from the current D-frontier; both the classic PODEM
     prune and the soundness guard for redundancy claims. *)
 val x_path : t -> x_path
-
-(** Good-machine value of the fault site in frame 0 (excitation test). *)
-val site_good_value : t -> Sim.Value3.t
-
-(** Frame-0 state requirement as a printable cube signature. *)
-val ps0_signature : t -> string

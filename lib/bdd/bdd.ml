@@ -29,7 +29,6 @@ let one = 0
 let zero = 1
 let not_ e = e lxor 1
 let equal = Int.equal
-let is_true e = e = one
 let is_false e = e = zero
 let is_compl e = e land 1 = 1
 let node_of e = e lsr 1
@@ -96,8 +95,6 @@ let mk m v lo hi =
 let var m v =
   if v < 0 || v >= terminal_var then invalid_arg "Bdd.var: bad variable";
   mk m v zero one
-
-let top_var m e = if node_of e = 0 then None else Some (var_of m e)
 
 let rec ite m f g h =
   if f = one then g

@@ -35,7 +35,6 @@ val zero : t
 (** Structural (= semantic, by canonicity) equality; plain [(=)]. *)
 val equal : t -> t -> bool
 
-val is_true : t -> bool
 val is_false : t -> bool
 
 (** The literal for variable [v] ([v >= 0]). *)
@@ -51,9 +50,6 @@ val and_ : man -> t -> t -> t
 val or_ : man -> t -> t -> t
 val xor_ : man -> t -> t -> t
 val xnor_ : man -> t -> t -> t
-
-(** Root variable, or [None] for the terminals. *)
-val top_var : man -> t -> int option
 
 (** Cofactor: [restrict m f ~var ~value] is f with [var] fixed. *)
 val restrict : man -> t -> var:int -> value:bool -> t

@@ -130,11 +130,6 @@ let load_sequence chain state_code =
       v.(chain.scan_in) <- Sim.Statekey.bit state_code pos;
       v)
 
-(* Full-scan test application for a combinationally-found test: shift in
-   the required state, then apply one functional vector. *)
-let apply_test chain ~state_code ~vector =
-  load_sequence chain state_code @ [ functional_vector chain vector ]
-
 (* Partial-scan selection: break register cycles with as few scanned DFFs
    as possible (greedy: repeatedly scan the DFF on the most cycles of the
    register graph, until the remaining graph is acyclic).  This is the

@@ -30,12 +30,6 @@ val functional_vector : chain -> bool array -> bool array
     with scan_enable held high. *)
 val load_sequence : chain -> Sim.Statekey.t -> Sim.Vectors.sequence
 
-(** Scan-mode test application: shift the excitation state in, then apply
-    one functional vector. *)
-val apply_test :
-  chain -> state_code:Sim.Statekey.t -> vector:bool array ->
-  Sim.Vectors.sequence
-
 (** Partial-scan selection: greedily pick registers breaking all register
     cycles (highest-degree-first on the register graph).  Returns DFF
     positions for [insert ~positions]. *)

@@ -32,7 +32,7 @@ type t = {
   severity : severity;
   loc : location;
   message : string;
-  proof : Json.t option;  (* machine-readable proof evidence, if any *)
+  proof : Obs.Json.t option;  (* machine-readable proof evidence, if any *)
 }
 
 let make ?proof ~rule ~severity ~loc message =
@@ -67,33 +67,33 @@ let sort diags =
 (* --- JSON ------------------------------------------------------------------ *)
 
 let location_to_json = function
-  | Circuit -> Json.Obj [ ("kind", Json.String "circuit") ]
+  | Circuit -> Obs.Json.Obj [ ("kind", Obs.Json.String "circuit") ]
   | Node { id; name } ->
-    Json.Obj
-      [ ("kind", Json.String "node"); ("id", Json.Int id);
-        ("name", Json.String name) ]
+    Obs.Json.Obj
+      [ ("kind", Obs.Json.String "node"); ("id", Obs.Json.Int id);
+        ("name", Obs.Json.String name) ]
   | Po name ->
-    Json.Obj [ ("kind", Json.String "po"); ("name", Json.String name) ]
+    Obs.Json.Obj [ ("kind", Obs.Json.String "po"); ("name", Obs.Json.String name) ]
   | State { index; name } ->
-    Json.Obj
-      [ ("kind", Json.String "state"); ("index", Json.Int index);
-        ("name", Json.String name) ]
+    Obs.Json.Obj
+      [ ("kind", Obs.Json.String "state"); ("index", Obs.Json.Int index);
+        ("name", Obs.Json.String name) ]
   | Transition i ->
-    Json.Obj [ ("kind", Json.String "transition"); ("index", Json.Int i) ]
+    Obs.Json.Obj [ ("kind", Obs.Json.String "transition"); ("index", Obs.Json.Int i) ]
 
 let to_json d =
-  Json.Obj
+  Obs.Json.Obj
     ([
-       ("rule", Json.String d.rule);
-       ("severity", Json.String (severity_to_string d.severity));
+       ("rule", Obs.Json.String d.rule);
+       ("severity", Obs.Json.String (severity_to_string d.severity));
        ("loc", location_to_json d.loc);
-       ("message", Json.String d.message);
+       ("message", Obs.Json.String d.message);
      ]
     @ match d.proof with Some p -> [ ("proof", p) ] | None -> [])
 
 let location_of_json j =
-  let str key = match Json.member key j with Some (Json.String s) -> Some s | _ -> None in
-  let int key = match Json.member key j with Some (Json.Int i) -> Some i | _ -> None in
+  let str key = match Obs.Json.member key j with Some (Obs.Json.String s) -> Some s | _ -> None in
+  let int key = match Obs.Json.member key j with Some (Obs.Json.Int i) -> Some i | _ -> None in
   match str "kind" with
   | Some "circuit" -> Some Circuit
   | Some "node" ->
@@ -110,11 +110,11 @@ let location_of_json j =
   | _ -> None
 
 let of_json j =
-  let str key = match Json.member key j with Some (Json.String s) -> Some s | _ -> None in
-  match str "rule", str "severity", Json.member "loc" j, str "message" with
+  let str key = match Obs.Json.member key j with Some (Obs.Json.String s) -> Some s | _ -> None in
+  match str "rule", str "severity", Obs.Json.member "loc" j, str "message" with
   | Some rule, Some sev, Some loc, Some message ->
     (match severity_of_string sev, location_of_json loc with
      | Some severity, Some loc ->
-       Some { rule; severity; loc; message; proof = Json.member "proof" j }
+       Some { rule; severity; loc; message; proof = Obs.Json.member "proof" j }
      | _ -> None)
   | _ -> None

@@ -22,14 +22,14 @@ type t = {
   severity : severity;
   loc : location;
   message : string;
-  proof : Json.t option;
+  proof : Obs.Json.t option;
       (** machine-readable proof evidence (NET006/NET008: cause, proof
           source, symbolic budget); carried verbatim through the JSON
           round trip *)
 }
 
 val make :
-  ?proof:Json.t -> rule:string -> severity:severity -> loc:location ->
+  ?proof:Obs.Json.t -> rule:string -> severity:severity -> loc:location ->
   string -> t
 
 val location_to_string : location -> string
@@ -43,7 +43,7 @@ val has_errors : t list -> bool
 (** Stable sort, most severe first, then by rule id. *)
 val sort : t list -> t list
 
-val to_json : t -> Json.t
+val to_json : t -> Obs.Json.t
 
 (** Inverse of {!to_json}; [None] on malformed input. *)
-val of_json : Json.t -> t option
+val of_json : Obs.Json.t -> t option

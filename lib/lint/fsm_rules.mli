@@ -6,11 +6,6 @@
     - [FSM004] (Info): incompletely specified (state, input) pairs,
       aggregated into one diagnostic. *)
 
-val rule_unreachable : string
-val rule_dead_state : string
-val rule_nondet : string
-val rule_incomplete : string
-
 val unreachable_states : Fsm.Machine.t -> Diag.t list
 val dead_states : Fsm.Machine.t -> Diag.t list
 val nondeterministic : Fsm.Machine.t -> Diag.t list

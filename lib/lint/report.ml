@@ -12,9 +12,12 @@ type netlist_summary = {
 }
 
 (* Staged: the value analyses trust [order], so they only run when the
-   error-level rules (cycles, structure) pass.  [oracle] is the
-   optional symbolic-reachability oracle enabling NET008. *)
-let lint_netlist ?(ffr_top = 3) ?oracle c =
+   error-level rules (cycles, structure) pass.  NET006/NET008 and both
+   untestable counts render Analysis.Untest classifications: the
+   collapsed list (symbolic stages per [symbolic], no product stage) and
+   the Theorem-1 universe.  The latter is static-only, so a BDD budget
+   that runs out on one side of a retiming cannot skew the comparison. *)
+let lint_netlist ?(ffr_top = 3) ~symbolic c =
   let errors = Netlist_rules.combinational_cycles c @ Netlist_rules.structure c in
   if Diag.has_errors errors then
     {
@@ -26,36 +29,31 @@ let lint_netlist ?(ffr_top = 3) ?oracle c =
       scoap = None;
     }
   else begin
-    let values = Constants.values c in
-    let structural_obs = Netlist_rules.structurally_observable c in
-    let obs = Netlist_rules.fault_observable c values in
     let scoap = Scoap.compute c in
-    let total_faults, proved = Netlist_rules.untestable_faults c values obs in
-    let seq =
-      Option.map
-        (fun (o : Netlist_rules.oracle) ->
-          Netlist_rules.seq_redundant_faults c ~can_take:o.Netlist_rules.can_take
-            proved)
-        oracle
+    let t = Analysis.Untest.classify ~symbolic c in
+    let s = t.Analysis.Untest.summary in
+    let invariant =
+      Analysis.Untest.classify ~symbolic:false
+        ~faults:(Analysis.Untest.invariant_faults c) c
     in
     let diags =
       errors
       @ Netlist_rules.dead_logic c
-      @ Netlist_rules.unobservable c ~structural_obs
-      @ Netlist_rules.constants c values
-      @ Netlist_rules.untestable_diags c proved
-      @ (match seq, oracle with
-        | Some r, Some o -> Netlist_rules.seq_redundant_diags c ~oracle:o r
-        | _ -> [])
+      @ Netlist_rules.unobservable c
+          ~structural_obs:(Analysis.Untest.structurally_observable c)
+      @ Netlist_rules.constants c (Analysis.Fixpoint.constants c)
+      @ Netlist_rules.untestable c t
       @ Netlist_rules.hard_ffrs ~top:ffr_top c scoap
     in
     {
       diags = Diag.sort diags;
-      total_faults;
-      untestable = List.length proved;
+      total_faults = s.Analysis.Untest.total;
+      untestable = s.Analysis.Untest.structural + s.Analysis.Untest.ternary;
       invariant_untestable =
-        Netlist_rules.invariant_untestable_count c values obs;
-      seq_redundant = Option.map (fun (cand, _) -> List.length cand) seq;
+        invariant.Analysis.Untest.summary.Analysis.Untest.proved;
+      seq_redundant =
+        (if s.Analysis.Untest.symbolic_ran then Some s.Analysis.Untest.symbolic
+         else None);
       scoap = Some scoap;
     }
   end
@@ -105,48 +103,48 @@ let pp_fsm ppf (name, diags) =
 (* --- JSON ------------------------------------------------------------------- *)
 
 let summary_json diags rest =
-  Json.Obj
+  Obs.Json.Obj
     ([
-       ("errors", Json.Int (Diag.count_severity Diag.Error diags));
-       ("warnings", Json.Int (Diag.count_severity Diag.Warning diags));
-       ("infos", Json.Int (Diag.count_severity Diag.Info diags));
+       ("errors", Obs.Json.Int (Diag.count_severity Diag.Error diags));
+       ("warnings", Obs.Json.Int (Diag.count_severity Diag.Warning diags));
+       ("infos", Obs.Json.Int (Diag.count_severity Diag.Info diags));
      ]
     @ rest)
 
 let scoap_json c (s : Scoap.t) =
-  Json.List
+  Obs.Json.List
     (Array.to_list
        (Array.map
           (fun (nd : Netlist.Node.node) ->
             let id = nd.Netlist.Node.id in
-            Json.Obj
+            Obs.Json.Obj
               [
-                ("node", Json.String nd.Netlist.Node.name);
-                ("cc0", Json.Int s.Scoap.cc0.(id));
-                ("cc1", Json.Int s.Scoap.cc1.(id));
-                ("sc0", Json.Int s.Scoap.sc0.(id));
-                ("sc1", Json.Int s.Scoap.sc1.(id));
-                ("co", Json.Int s.Scoap.co.(id));
-                ("so", Json.Int s.Scoap.so.(id));
+                ("node", Obs.Json.String nd.Netlist.Node.name);
+                ("cc0", Obs.Json.Int s.Scoap.cc0.(id));
+                ("cc1", Obs.Json.Int s.Scoap.cc1.(id));
+                ("sc0", Obs.Json.Int s.Scoap.sc0.(id));
+                ("sc1", Obs.Json.Int s.Scoap.sc1.(id));
+                ("co", Obs.Json.Int s.Scoap.co.(id));
+                ("so", Obs.Json.Int s.Scoap.so.(id));
               ])
           c.Netlist.Node.nodes))
 
 let netlist_to_json ?(include_scoap = false) ~name c s =
-  Json.Obj
+  Obs.Json.Obj
     ([
-       ("name", Json.String name);
-       ("kind", Json.String "netlist");
-       ("diagnostics", Json.List (List.map Diag.to_json s.diags));
+       ("name", Obs.Json.String name);
+       ("kind", Obs.Json.String "netlist");
+       ("diagnostics", Obs.Json.List (List.map Diag.to_json s.diags));
        ( "summary",
          summary_json s.diags
            ([
-              ("total_faults", Json.Int s.total_faults);
-              ("untestable", Json.Int s.untestable);
-              ("invariant_untestable", Json.Int s.invariant_untestable);
+              ("total_faults", Obs.Json.Int s.total_faults);
+              ("untestable", Obs.Json.Int s.untestable);
+              ("invariant_untestable", Obs.Json.Int s.invariant_untestable);
             ]
            @
            match s.seq_redundant with
-           | Some n -> [ ("seq_redundant", Json.Int n) ]
+           | Some n -> [ ("seq_redundant", Obs.Json.Int n) ]
            | None -> []) );
      ]
     @
@@ -155,37 +153,10 @@ let netlist_to_json ?(include_scoap = false) ~name c s =
     | _ -> [])
 
 let fsm_to_json ~name diags =
-  Json.Obj
+  Obs.Json.Obj
     [
-      ("name", Json.String name);
-      ("kind", Json.String "fsm");
-      ("diagnostics", Json.List (List.map Diag.to_json diags));
+      ("name", Obs.Json.String name);
+      ("kind", Obs.Json.String "fsm");
+      ("diagnostics", Obs.Json.List (List.map Diag.to_json diags));
       ("summary", summary_json diags []);
     ]
-
-(* --- catalogue --------------------------------------------------------------- *)
-
-let catalogue =
-  [
-    (Netlist_rules.rule_cycle, Diag.Error, "combinational cycle");
-    (Netlist_rules.rule_structure, Diag.Error,
-     "structural defect (dangling fanin, bad arity, unconnected DFF, \
-      duplicate node/PO name)");
-    (Netlist_rules.rule_dead, Diag.Warning, "dead (fanout-free, non-PO) logic");
-    (Netlist_rules.rule_unobservable, Diag.Warning,
-     "unobservable logic: no structural path to any PO");
-    (Netlist_rules.rule_constant, Diag.Warning,
-     "constant-provable node (ternary propagation)");
-    (Netlist_rules.rule_untestable, Diag.Info,
-     "statically untestable fault (unexcitable or unpropagatable)");
-    (Netlist_rules.rule_hard_ffr, Diag.Info,
-     "hard-to-test fanout-free region (SCOAP-scored)");
-    (Netlist_rules.rule_seq_redundant, Diag.Warning,
-     "proved sequentially redundant fault (activation needs an \
-      unreachable state, proved by symbolic reachability)");
-    (Fsm_rules.rule_unreachable, Diag.Warning, "state unreachable from reset");
-    (Fsm_rules.rule_dead_state, Diag.Warning, "dead (trap) state");
-    (Fsm_rules.rule_nondet, Diag.Error, "nondeterministic transitions");
-    (Fsm_rules.rule_incomplete, Diag.Info,
-     "incompletely specified (state, input) pairs");
-  ]

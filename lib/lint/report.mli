@@ -6,24 +6,22 @@
 type netlist_summary = {
   diags : Diag.t list;          (** sorted, most severe first *)
   total_faults : int;           (** size of the collapsed fault list *)
-  untestable : int;             (** statically proved untestable of those *)
+  untestable : int;             (** NET006 count: proved without BDDs *)
   invariant_untestable : int;
   (** untestable count over the gate/PI-site full fault universe — the
       retiming-invariant Theorem-1 metric *)
   seq_redundant : int option;
-  (** NET008 proved count; [None] when no reachability oracle was
-      supplied *)
+  (** NET008 proved count; [None] when the symbolic stages were off or
+      ran out of BDD nodes *)
   scoap : Scoap.t option;       (** [None] when error-level rules fired *)
 }
 
 (** Run all netlist rules.  [ffr_top] bounds the NET007 diagnostics.
-    [oracle] is the symbolic-reachability oracle (e.g. built on
-    {!Analysis.Symreach.can_take}, with the exploration's budget and
-    BDD size for the proof payloads) enabling the NET008 sequential-
-    redundancy rule; omit it and NET008 is skipped. *)
+    NET006/NET008 render {!Analysis.Untest.classify} on the collapsed
+    fault list at the default BDD budget; [symbolic:false] skips its
+    BDD stages, and with them NET008. *)
 val lint_netlist :
-  ?ffr_top:int -> ?oracle:Netlist_rules.oracle -> Netlist.Node.t ->
-  netlist_summary
+  ?ffr_top:int -> symbolic:bool -> Netlist.Node.t -> netlist_summary
 
 (** Run all FSM rules, sorted. *)
 val lint_fsm : Fsm.Machine.t -> Diag.t list
@@ -40,9 +38,6 @@ val pp_fsm : Format.formatter -> string * Diag.t list -> unit
     scores. *)
 val netlist_to_json :
   ?include_scoap:bool -> name:string -> Netlist.Node.t -> netlist_summary ->
-  Json.t
+  Obs.Json.t
 
-val fsm_to_json : name:string -> Diag.t list -> Json.t
-
-(** (rule id, severity, one-line description) for every rule. *)
-val catalogue : (string * Diag.severity * string) list
+val fsm_to_json : name:string -> Diag.t list -> Obs.Json.t

@@ -204,7 +204,3 @@ let testability t id =
   max (t.cc1.(id) ++ t.co.(id)) (t.cc0.(id) ++ t.co.(id))
 
 let controllability t = (t.cc0, t.cc1)
-
-let pp_node ppf (t, id) =
-  Fmt.pf ppf "cc0=%d cc1=%d sc0=%d sc1=%d co=%d so=%d" t.cc0.(id) t.cc1.(id)
-    t.sc0.(id) t.sc1.(id) t.co.(id) t.so.(id)

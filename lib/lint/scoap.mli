@@ -29,6 +29,3 @@ val testability : t -> int -> int
 (** [(cc0, cc1)] — the per-node cost arrays the ATPG backtrace consumes
     as its input-selection heuristic. *)
 val controllability : t -> int array * int array
-
-(** One-line score dump for a node. *)
-val pp_node : Format.formatter -> t * int -> unit

@@ -46,10 +46,6 @@ let gate_fn_name = function
   | And -> "AND" | Or -> "OR" | Nand -> "NAND" | Nor -> "NOR"
   | Not -> "NOT" | Buf -> "BUF" | Xor -> "XOR" | Xnor -> "XNOR"
 
-let pp_gate_fn ppf g = Fmt.string ppf (gate_fn_name g)
-
-let equal_gate_fn (a : gate_fn) (b : gate_fn) = a = b
-
 (* Arity admitted for each gate function. *)
 let arity_ok fn n =
   match fn with
@@ -68,12 +64,6 @@ let num_gates c =
     0 c.nodes
 
 let node c id = c.nodes.(id)
-
-let is_dff c id =
-  match c.nodes.(id).kind with Dff _ -> true | Pi _ | Gate _ -> false
-
-let is_pi c id =
-  match c.nodes.(id).kind with Pi _ -> true | Dff _ | Gate _ -> false
 
 let dff_init c id =
   match c.nodes.(id).kind with

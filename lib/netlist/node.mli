@@ -46,9 +46,6 @@ val make :
 (** Printable name of a gate function (e.g. ["NAND"]). *)
 val gate_fn_name : gate_fn -> string
 
-val pp_gate_fn : Format.formatter -> gate_fn -> unit
-val equal_gate_fn : gate_fn -> gate_fn -> bool
-
 (** [arity_ok fn n] is [true] when an [fn]-gate may have [n] inputs. *)
 val arity_ok : gate_fn -> int -> bool
 
@@ -60,9 +57,6 @@ val num_gates : t -> int
 
 (** [node c id] is the node record for [id]. *)
 val node : t -> int -> node
-
-val is_dff : t -> int -> bool
-val is_pi : t -> int -> bool
 
 (** Power-up value of a DFF node.
     @raise Invalid_argument if the node is not a DFF. *)

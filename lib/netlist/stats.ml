@@ -47,22 +47,6 @@ let pp ppf s =
   Fmt.pf ppf "PI=%d PO=%d DFF=%d gates=%d levels=%d area=%.1f delay=%.2f"
     s.pis s.pos s.dffs s.gates s.levels s.area s.delay
 
-(* Transitive fanin cone of a node, stopping at PIs and DFF outputs. *)
-let comb_fanin_cone c id =
-  let seen = Hashtbl.create 97 in
-  let acc = ref [] in
-  let rec go id =
-    if not (Hashtbl.mem seen id) then begin
-      Hashtbl.add seen id ();
-      acc := id :: !acc;
-      match (Node.node c id).Node.kind with
-      | Node.Gate _ -> Array.iter go (Node.node c id).Node.fanins
-      | Node.Pi _ | Node.Dff _ -> ()
-    end
-  in
-  go id;
-  !acc
-
 (* Nodes combinationally reachable from [id] (through gates, stopping at DFF
    data inputs and POs). *)
 let comb_fanout_cone c id =

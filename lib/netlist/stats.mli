@@ -16,9 +16,6 @@ type t = {
 val of_circuit : Node.t -> t
 val pp : Format.formatter -> t -> unit
 
-(** Transitive fanin cone of a node, stopping at PIs and DFF outputs. *)
-val comb_fanin_cone : Node.t -> int -> int list
-
 (** Nodes combinationally reachable from a node (through gates, stopping
     at DFF data inputs); reached DFFs are included. *)
 val comb_fanout_cone : Node.t -> int -> int list

@@ -212,9 +212,6 @@ let side_of_input ~label = function
   | Bench records -> side_of_bench ~label records
   | Chrome doc -> side_of_chrome ~label doc
 
-let side_of_string ~label text =
-  Result.map (side_of_input ~label) (classify_input text)
-
 (* ------------------------------------------------------------- the diff - *)
 
 type row = {

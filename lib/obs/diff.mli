@@ -51,9 +51,6 @@ val side_of_bench : label:string -> Json.t list -> side
 val side_of_chrome : label:string -> Json.t -> side
 val side_of_input : label:string -> input -> side
 
-(** {!classify_input} composed with {!side_of_input}. *)
-val side_of_string : label:string -> string -> (side, string) result
-
 (** {1 The diff} *)
 
 type row = {

@@ -14,19 +14,17 @@
    the submitting caller in submission order (Commit.apply), so the JSONL
    file of an N-domain run is byte-identical to the sequential one. *)
 
-type sink = { mutable records : Json.t list; mutable n : int }
+type sink = { mutable records : Json.t list }
 
 let current : sink option ref = ref None
 
-let create () = { records = []; n = 0 }
+let create () = { records = [] }
 let install s = current := Some s
 let uninstall () = current := None
 let active () = !current
 let enabled () = !current <> None
 
-let append s j =
-  s.records <- j :: s.records;
-  s.n <- s.n + 1
+let append s j = s.records <- j :: s.records
 
 let emit_json j =
   match !current with
@@ -46,7 +44,6 @@ let apply_delta d =
   | Some s -> List.iter (append s) (Capture.events d)
 
 let records s = List.rev s.records
-let num_records s = s.n
 
 (* records are stored most-recent-first; rev_map yields oldest-first *)
 let to_lines s = List.rev_map Json.to_string s.records

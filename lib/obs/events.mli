@@ -37,8 +37,6 @@ val apply_delta : Capture.t -> unit
 (** Records in emission order. *)
 val records : sink -> Json.t list
 
-val num_records : sink -> int
-
 (** One compact JSON document per line, emission order. *)
 val to_lines : sink -> string list
 

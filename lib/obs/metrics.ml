@@ -60,7 +60,6 @@ let add c n =
 
 let incr c = add c 1
 let count c = c.c_value
-let counter_name c = c.c_name
 
 let gauge ?(registry = global) name =
   match Hashtbl.find_opt registry.gauges name with

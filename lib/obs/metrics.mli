@@ -35,7 +35,6 @@ val counter : ?registry:t -> string -> counter
 val add : counter -> int -> unit
 val incr : counter -> unit
 val count : counter -> int
-val counter_name : counter -> string
 
 (** {1 Gauges} — last-write-wins floats. *)
 

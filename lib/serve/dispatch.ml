@@ -328,11 +328,8 @@ let plan_lint ~config ~name ~circuit ~hash =
   let symbolic = get_bool ~default:true "symbolic" config in
   let key = Printf.sprintf "lint:%s:%b" hash symbolic in
   let run () =
-    let oracle =
-      if symbolic then Lint.Netlist_rules.reach_oracle circuit else None
-    in
     Core.Cache.note_bypass ();
-    let s = Lint.Report.lint_netlist ?oracle circuit in
+    let s = Lint.Report.lint_netlist ~symbolic circuit in
     respond ~verb:"lint" ~name ~hash ~budget:None ~work_units:0 []
       [
         ("errors", Obs.Json.Bool (Lint.Diag.has_errors s.Lint.Report.diags));

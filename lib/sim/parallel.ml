@@ -11,9 +11,6 @@
 
 let word_bits = 62
 
-let mask_of_width w =
-  if w >= word_bits then (1 lsl word_bits) - 1 else (1 lsl w) - 1
-
 type backend = [ `Tape | `Nodes ]
 
 type t = {
@@ -48,13 +45,6 @@ let create_on ?(backend = `Tape) tape =
 let create ?backend circuit = create_on ?backend (Tape.compile circuit)
 let circuit t = t.circuit
 let tape t = t.tape
-
-let clear_faults t =
-  Array.fill t.stem_f0 0 (Array.length t.stem_f0) 0;
-  Array.fill t.stem_f1 0 (Array.length t.stem_f1) 0;
-  Hashtbl.reset t.pin_over;
-  t.has_pin_over <- false;
-  Array.fill t.over_slot 0 (Array.length t.over_slot) false
 
 let check_lane name lane =
   if lane < 0 || lane >= word_bits then

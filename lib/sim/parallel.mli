@@ -10,9 +10,6 @@ type t
 (** Usable lanes per word. *)
 val word_bits : int
 
-(** Bit mask covering [w] lanes. *)
-val mask_of_width : int -> int
-
 (** Combinational-sweep implementation.  [`Tape] (the default) runs on
     the flat levelized instruction tape ({!Tape}); [`Nodes] is the
     original node-record walk, kept bit-identical as the reference for
@@ -28,9 +25,6 @@ val create_on : ?backend:backend -> Tape.t -> t
 
 val circuit : t -> Netlist.Node.t
 val tape : t -> Tape.t
-
-(** Remove all injected faults. *)
-val clear_faults : t -> unit
 
 (** Force the output of [node] to [value] in [lane], every cycle.
     @raise Invalid_argument if [lane] is outside [0 .. word_bits - 1]

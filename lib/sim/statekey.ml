@@ -27,9 +27,6 @@ let bit k i =
   if i lsr 3 >= String.length k then false
   else Char.code (String.unsafe_get k (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
-let to_bits ~n k =
-  "0b" ^ String.init n (fun j -> if bit k (n - 1 - j) then '1' else '0')
-
 let to_hex k =
   String.concat ""
     (List.init (String.length k) (fun i ->

@@ -28,9 +28,6 @@ val bit : t -> int -> bool
 (** Number of bits the key can hold (8 × byte length). *)
 val capacity : t -> int
 
-(** Debug rendering, e.g. ["0b0101"] (bit 0 rightmost, [n] bits). *)
-val to_bits : n:int -> t -> string
-
 (** Printable round-trip codec (lowercase hex, two digits per byte) for
     embedding keys in JSON records. *)
 val to_hex : t -> string

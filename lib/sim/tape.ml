@@ -51,8 +51,6 @@ let fn_of_op o =
   else if o = op_xnor then Netlist.Node.Xnor
   else invalid_arg (Printf.sprintf "Tape.fn_of_op: %d" o)
 
-let num_levels tp = Array.length tp.level_off - 2
-
 let compile (c : Netlist.Node.t) =
   let n = Netlist.Node.num_nodes c in
   let order = c.Netlist.Node.order in

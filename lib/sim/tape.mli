@@ -33,7 +33,7 @@ type t = private {
   fanin : int array;         (** flattened fanin node ids *)
   level_off : int array;     (** level [l]'s slots are
                                  [level_off.(l) .. level_off.(l+1) - 1];
-                                 length [num_levels + 1].  Level 0 (the
+                                 length [max gate level + 2].  Level 0 (the
                                  PI/DFF sources) holds no slots. *)
   topo_slot : int array;     (** slots in [Netlist.Node.order] sequence *)
   pis : int array;           (** PI index -> node id *)
@@ -60,10 +60,6 @@ val fn_of_op : int -> Netlist.Node.gate_fn
 (** Compile the tape.  O(nodes + edges); the result is immutable and can
     back any number of simulator instances over the same circuit. *)
 val compile : Netlist.Node.t -> t
-
-(** Number of combinational levels (max gate level; 0 for gateless
-    circuits). *)
-val num_levels : t -> int
 
 (** [eval_words tp ~values ~f0 ~f1] sweeps the tape once over the
     word-per-node state [values] (each bit an independent simulation

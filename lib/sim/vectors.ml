@@ -15,13 +15,6 @@ let vector_of_string s =
 
 let to_v3 v = Array.map Value3.of_bool v
 
-(* Concretize a 3-valued vector: X positions take [default]. *)
-let of_v3 ?(default = false) v =
-  Array.map
-    (fun x ->
-      match Value3.to_bool_opt x with Some b -> b | None -> default)
-    v
-
 let random_vector rng n = Array.init n (fun _ -> Random.State.bool rng)
 
 let random_sequence rng ~width ~length =

@@ -12,9 +12,6 @@ val vector_of_string : string -> vector
 
 val to_v3 : vector -> Value3.t array
 
-(** Concretize a 3-valued vector; X positions take [default]. *)
-val of_v3 : ?default:bool -> Value3.t array -> vector
-
 val random_vector : Random.State.t -> int -> vector
 val random_sequence : Random.State.t -> width:int -> length:int -> sequence
 

@@ -43,7 +43,7 @@ let dead_gate_circuit () =
   Netlist.Build.finalize b
 
 (* g_const = OR(a, one) is provably constant 1: NET005 fires, its sa1 is
-   unexcitable and everything behind the blocked AND is unpropagatable. *)
+   unexcitable, and a's effect is confined by the constant side input. *)
 let constant_circuit () =
   let b = Netlist.Build.create () in
   let a = Netlist.Build.add_pi b "a" in
@@ -68,74 +68,76 @@ let seq_redundant_circuit () =
   Netlist.Build.add_po b "z" g;
   (Netlist.Build.finalize b, g)
 
+let proof_field key (d : Lint.Diag.t) =
+  match d.Lint.Diag.proof with
+  | None -> None
+  | Some p -> (
+    match Obs.Json.member key p with
+    | Some (Obs.Json.String s) -> Some s
+    | _ -> None)
+
+let names_fault name (d : Lint.Diag.t) =
+  Helpers.contains_substring d.Lint.Diag.message ("fault " ^ name ^ ":")
+
+let rule_diags rule (s : Lint.Report.netlist_summary) =
+  List.filter (fun d -> d.Lint.Diag.rule = rule) s.Lint.Report.diags
+
 let test_seq_redundant_rule () =
-  let c, g = seq_redundant_circuit () in
-  let r = Analysis.Symreach.explore c in
-  Alcotest.(check (option int))
-    "3 of 4 states reachable" (Some 3)
-    r.Analysis.Symreach.summary.Analysis.Symreach.valid_states_int;
-  let can_take n v = Analysis.Symreach.can_take r n v in
-  (* rule level: g/sa0 is a candidate, and the oracle never contradicts a
-     static Unexcitable proof (the Theorem-1 cross-check) *)
-  let values = Lint.Constants.values c in
-  let obs = Lint.Netlist_rules.fault_observable c values in
-  let _, proved = Lint.Netlist_rules.untestable_faults c values obs in
-  let cands, incons =
-    Lint.Netlist_rules.seq_redundant_faults c ~can_take proved
-  in
-  Alcotest.(check int) "no static/symbolic inconsistency" 0
-    (List.length incons);
-  Alcotest.(check bool) "g/sa0 flagged" true
-    (List.exists
-       (fun f ->
-         Lint.Netlist_rules.fault_source c f = g && not f.Fsim.Fault.stuck)
-       cands);
-  (* none of the candidates is already statically proved *)
-  List.iter
-    (fun f ->
-      Alcotest.(check bool) "not statically proved" false
-        (List.exists (fun (p, _) -> p = f) proved))
-    cands;
-  let oracle =
-    {
-      Lint.Netlist_rules.can_take;
-      max_nodes = Analysis.Symreach.default_max_nodes;
-      bdd_nodes = r.Analysis.Symreach.summary.Analysis.Symreach.bdd_nodes;
-    }
-  in
-  let ds = Lint.Netlist_rules.seq_redundant_diags c ~oracle (cands, incons) in
-  Alcotest.(check bool) "NET008 fires" true (has_rule "NET008" ds);
-  Alcotest.(check bool) "proved, not an error" false (Lint.Diag.has_errors ds);
-  (* promoted: proved sequential redundancy is Warning severity with a
-     machine-readable symbolic proof payload *)
+  let c, _ = seq_redundant_circuit () in
+  let s = Lint.Report.lint_netlist ~symbolic:true c in
+  let net008 = rule_diags "NET008" s in
+  (* g/sa0 (C1) plus the register stems' sa0 (C3): every symbolic proof
+     of the cascade is reported *)
+  Alcotest.(check int) "NET008 count" 3 (List.length net008);
+  Alcotest.(check (option int)) "summary count" (Some 3) s.Lint.Report.seq_redundant;
+  Alcotest.(check bool) "proved, not an error" false
+    (Lint.Diag.has_errors s.Lint.Report.diags);
   List.iter
     (fun d ->
-      Alcotest.(check string)
-        "warning severity" "warning"
+      Alcotest.(check string) "warning severity" "warning"
         (Lint.Diag.severity_to_string d.Lint.Diag.severity);
-      match d.Lint.Diag.proof with
-      | None -> Alcotest.fail "NET008 diagnostic carries no proof"
-      | Some p ->
-        Alcotest.(check (option string))
-          "proof cause" (Some "unreachable_activation")
-          (match Lint.Json.member "cause" p with
-          | Some (Lint.Json.String s) -> Some s
-          | _ -> None);
-        Alcotest.(check (option string))
-          "proof source" (Some "symbolic")
-          (match Lint.Json.member "source" p with
-          | Some (Lint.Json.String s) -> Some s
-          | _ -> None))
-    ds;
-  (* driver level: the summary carries the count, and omitting the oracle
-     skips the rule *)
-  let s = Lint.Report.lint_netlist ~oracle c in
-  Alcotest.(check (option int))
-    "summary count"
-    (Some (List.length cands))
-    s.Lint.Report.seq_redundant;
-  Alcotest.(check (option int)) "no oracle, no NET008" None
-    (Lint.Report.lint_netlist c).Lint.Report.seq_redundant
+      Alcotest.(check (option string)) "proof source" (Some "symbolic")
+        (proof_field "source" d))
+    net008;
+  Alcotest.(check (list (option string)))
+    "g/sa0 by unreachable activation" [ Some "unreachable_activation" ]
+    (List.map (proof_field "cause") (List.filter (names_fault "g/sa0") net008));
+  Alcotest.(check (option int)) "static-only, no NET008" None
+    (Lint.Report.lint_netlist ~symbolic:false c).Lint.Report.seq_redundant
+
+(* s/sa1 corrupts the AND's sibling input k = s, which is constant 0 at
+   power-up only in the fault-free machine: a blocker the fault itself
+   removes.  These faults are detectable (HITEC finds validated tests),
+   so no NET006 may name them. *)
+let corrupted_blocker_blif =
+  String.concat "\n"
+    [ ".model bug"; ".inputs x"; ".outputs g"; ".latch snext s 0";
+      ".names s x snext"; "11 1"; ".names s k"; "1 1"; ".names s k g";
+      "11 1"; ".end"; "" ]
+
+let test_untestable_needs_uncorrupted_blocker () =
+  let c = Netlist.Blif.parse_string corrupted_blocker_blif in
+  let s = Lint.Report.lint_netlist ~symbolic:false c in
+  let net006 = rule_diags "NET006" s in
+  Alcotest.(check int) "NET006 count matches Untest" 7 (List.length net006);
+  let suspects = [ "s/sa1"; "snext_blif1/sa1"; "snext_blif1.in0/sa1" ] in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " not called untestable") false
+        (List.exists (names_fault name) net006))
+    suspects;
+  let r = Atpg.Hitec.generate c in
+  List.iter
+    (fun name ->
+      let status = ref None in
+      Array.iteri
+        (fun i f ->
+          if Fsim.Fault.to_string c f = name then
+            status := Some (Fsim.Fault.status_to_string r.Atpg.Types.status.(i)))
+        r.Atpg.Types.faults;
+      Alcotest.(check (option string)) (name ^ " detected") (Some "detected")
+        !status)
+    suspects
 
 let test_cycle_rule () =
   let c = cyclic_circuit () in
@@ -143,7 +145,7 @@ let test_cycle_rule () =
   Alcotest.(check bool) "NET001 fires" true (has_rule "NET001" ds);
   Alcotest.(check bool) "is an error" true (Lint.Diag.has_errors ds);
   (* the staged driver must stop before the order-trusting analyses *)
-  let s = Lint.Report.lint_netlist c in
+  let s = Lint.Report.lint_netlist ~symbolic:false c in
   Alcotest.(check bool) "scoap skipped" true (s.Lint.Report.scoap = None);
   Alcotest.(check bool)
     "gate raises" true
@@ -191,7 +193,7 @@ let test_check_dff_single_report () =
 
 let test_dead_rule () =
   let c = dead_gate_circuit () in
-  let s = Lint.Report.lint_netlist c in
+  let s = Lint.Report.lint_netlist ~symbolic:false c in
   let dead =
     List.filter (fun d -> d.Lint.Diag.rule = "NET003") s.Lint.Report.diags
   in
@@ -202,7 +204,7 @@ let test_dead_rule () =
 
 let test_constant_and_untestable_rules () =
   let c = constant_circuit () in
-  let s = Lint.Report.lint_netlist c in
+  let s = Lint.Report.lint_netlist ~symbolic:false c in
   let by r = List.filter (fun d -> d.Lint.Diag.rule = r) s.Lint.Report.diags in
   Alcotest.(check bool) "NET005 fires" true (by "NET005" <> []);
   Alcotest.(check bool) "NET006 fires" true (by "NET006" <> []);
@@ -221,7 +223,7 @@ let test_constant_and_untestable_rules () =
 
 let test_clean_circuit () =
   let c = Helpers.toy_circuit () in
-  let s = Lint.Report.lint_netlist c in
+  let s = Lint.Report.lint_netlist ~symbolic:false c in
   Alcotest.(check int) "no errors"
     0
     (Lint.Diag.count_severity Lint.Diag.Error s.Lint.Report.diags);
@@ -349,22 +351,22 @@ let test_fsm_benchmarks_deterministic () =
 let test_json_roundtrip () =
   let samples =
     [
-      Lint.Json.Null;
-      Lint.Json.Bool true;
-      Lint.Json.Int (-42);
-      Lint.Json.String "quote \" backslash \\ newline \n tab \t";
-      Lint.Json.List [ Lint.Json.Int 1; Lint.Json.String "x"; Lint.Json.Null ];
-      Lint.Json.Obj
+      Obs.Json.Null;
+      Obs.Json.Bool true;
+      Obs.Json.Int (-42);
+      Obs.Json.String "quote \" backslash \\ newline \n tab \t";
+      Obs.Json.List [ Obs.Json.Int 1; Obs.Json.String "x"; Obs.Json.Null ];
+      Obs.Json.Obj
         [
-          ("a", Lint.Json.List []);
-          ("b", Lint.Json.Obj [ ("nested", Lint.Json.Bool false) ]);
+          ("a", Obs.Json.List []);
+          ("b", Obs.Json.Obj [ ("nested", Obs.Json.Bool false) ]);
         ];
     ]
   in
   List.iter
     (fun j ->
-      let j' = Lint.Json.parse (Lint.Json.to_string j) in
-      Alcotest.(check bool) "parse inverts print" true (Lint.Json.equal j j'))
+      let j' = Obs.Json.parse (Obs.Json.to_string j) in
+      Alcotest.(check bool) "parse inverts print" true (Obs.Json.equal j j'))
     samples
 
 let test_diag_roundtrip () =
@@ -384,7 +386,7 @@ let test_diag_roundtrip () =
           "message with \"specials\"\n"
       in
       (* through the printer/parser as well, as the CLI emits text *)
-      let j = Lint.Json.parse (Lint.Json.to_string (Lint.Diag.to_json d)) in
+      let j = Obs.Json.parse (Obs.Json.to_string (Lint.Diag.to_json d)) in
       match Lint.Diag.of_json j with
       | Some d' -> Alcotest.(check bool) "diag round-trips" true (d = d')
       | None -> Alcotest.fail "of_json failed")
@@ -392,15 +394,15 @@ let test_diag_roundtrip () =
 
 let test_report_json () =
   let c = constant_circuit () in
-  let s = Lint.Report.lint_netlist c in
+  let s = Lint.Report.lint_netlist ~symbolic:false c in
   let j = Lint.Report.netlist_to_json ~include_scoap:true ~name:"const" c s in
-  let j' = Lint.Json.parse (Lint.Json.to_string j) in
-  Alcotest.(check bool) "document round-trips" true (Lint.Json.equal j j');
-  match Lint.Json.member "summary" j' with
+  let j' = Obs.Json.parse (Obs.Json.to_string j) in
+  Alcotest.(check bool) "document round-trips" true (Obs.Json.equal j j');
+  match Obs.Json.member "summary" j' with
   | Some summary ->
     Alcotest.(check bool) "untestable exported" true
-      (Lint.Json.member "untestable" summary
-      = Some (Lint.Json.Int s.Lint.Report.untestable))
+      (Obs.Json.member "untestable" summary
+      = Some (Obs.Json.Int s.Lint.Report.untestable))
   | None -> Alcotest.fail "summary missing"
 
 (* --- name index --------------------------------------------------------------- *)
@@ -428,8 +430,8 @@ let test_theorem1_invariant () =
   List.iter
     (fun (fsm, alg, script) ->
       let p = Core.Flow.pair fsm alg script in
-      let so = Lint.Report.lint_netlist p.Core.Flow.original in
-      let sr = Lint.Report.lint_netlist p.Core.Flow.retimed in
+      let so = Lint.Report.lint_netlist ~symbolic:false p.Core.Flow.original in
+      let sr = Lint.Report.lint_netlist ~symbolic:false p.Core.Flow.retimed in
       Alcotest.(check bool)
         (p.Core.Flow.name ^ " original clean")
         false
@@ -472,8 +474,8 @@ let test_invariant_nonzero_under_retiming () =
     Netlist.Build.add_po b "z" g2;
     Netlist.Build.finalize b
   in
-  let so = Lint.Report.lint_netlist (build false) in
-  let sr = Lint.Report.lint_netlist (build true) in
+  let so = Lint.Report.lint_netlist ~symbolic:false (build false) in
+  let sr = Lint.Report.lint_netlist ~symbolic:false (build true) in
   Alcotest.(check bool) "nonzero" true (so.Lint.Report.invariant_untestable > 0);
   Alcotest.(check int) "id-independent" so.Lint.Report.invariant_untestable
     sr.Lint.Report.invariant_untestable
@@ -511,6 +513,8 @@ let suite =
     Alcotest.test_case "FFR partition" `Quick test_ffr_partition;
     Alcotest.test_case "NET008 sequential redundancy" `Quick
       test_seq_redundant_rule;
+    Alcotest.test_case "NET006 blocker the fault corrupts" `Quick
+      test_untestable_needs_uncorrupted_blocker;
     Alcotest.test_case "FSM001 unreachable" `Quick test_fsm_unreachable;
     Alcotest.test_case "FSM002 dead state" `Quick test_fsm_dead_state;
     Alcotest.test_case "FSM003 nondeterminism" `Quick test_fsm_nondet;

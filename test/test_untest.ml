@@ -60,8 +60,8 @@ let check_proved t fault cause evidence msg =
 
 (* ------------------------------------------- fixpoint engine identity - *)
 
-(* The legacy Lint.Constants sweep loop, verbatim (pre-Fixpoint), kept
-   here as the regression reference for bit-identical output. *)
+(* The legacy ternary constants sweep loop, verbatim (pre-Fixpoint),
+   kept here as the regression reference for bit-identical output. *)
 let legacy_constants (c : Netlist.Node.t) =
   let n = Netlist.Node.num_nodes c in
   let value = Array.make n Sim.Value3.X in
@@ -116,13 +116,10 @@ let test_fixpoint_matches_legacy () =
     (fun (name, c) ->
       let legacy = legacy_constants c in
       let shared = Analysis.Fixpoint.constants c in
-      let lint = Lint.Constants.values c in
       Array.iteri
         (fun id v ->
-          Alcotest.check v3 (Printf.sprintf "%s node %d (engine)" name id) v
-            shared.(id);
-          Alcotest.check v3 (Printf.sprintf "%s node %d (lint)" name id) v
-            lint.(id))
+          Alcotest.check v3 (Printf.sprintf "%s node %d" name id) v
+            shared.(id))
         legacy)
     circuits
 
@@ -579,6 +576,53 @@ let test_prefilter_never_proved () =
   (* vacuous unless the prefilter detects something *)
   Alcotest.(check bool) "prefilter detected some faults" true (detected > 0)
 
+(* Static-vs-symbolic cross-check: a fault proved Unexcitable has its
+   source constant at the stuck value in every cycle from power-up,
+   reachable or not, so the reachable-state constants must agree.  A
+   disagreement would mean one of the two provers is wrong. *)
+let check_unexcitable_reachable name c =
+  let t = Analysis.Untest.classify ~symbolic:false c in
+  match
+    Analysis.Untest.reachable_constants
+      ~max_nodes:Analysis.Symreach.default_max_nodes c
+  with
+  | None -> Alcotest.failf "%s: reachability ran out of nodes" name
+  | Some (rc, _) ->
+    let checked = ref 0 in
+    Array.iteri
+      (fun i (f : Fsim.Fault.t) ->
+        match t.Analysis.Untest.verdicts.(i) with
+        | Analysis.Untest.Untestable { cause = Analysis.Untest.Unexcitable; _ }
+          ->
+          incr checked;
+          if rc.(Analysis.Untest.fault_source c f) <> Some f.Fsim.Fault.stuck
+          then
+            Alcotest.failf
+              "%s: %s proved unexcitable, yet a reachable state activates it"
+              name (Fsim.Fault.to_string c f)
+        | _ -> ())
+      t.Analysis.Untest.faults;
+    !checked
+
+let test_unexcitable_reachable () =
+  let seq, _, _, _ = seq_redundant_circuit () in
+  let cb, _, _, _ = const_blocked_circuit () in
+  let o, re = small_pair () in
+  (* the circuits of the differential soundness fuzz below *)
+  let rng = Random.State.make [| 0x5ea1; 42 |] in
+  let fuzz =
+    List.init 30 (fun k -> (Printf.sprintf "fuzz %d" k, random_circuit rng))
+  in
+  let checked =
+    List.fold_left
+      (fun a (name, c) -> a + check_unexcitable_reachable name c)
+      0
+      ([ ("seq-redundant", seq); ("const-blocked", cb); ("small", o);
+         ("small.re", re) ]
+      @ fuzz)
+  in
+  Alcotest.(check bool) "some unexcitable proofs checked" true (checked > 0)
+
 let test_differential_soundness () =
   let rng = Random.State.make [| 0x5ea1; 42 |] in
   let circuits = 30 in
@@ -650,6 +694,8 @@ let suite =
       test_prefilter_never_proved;
     Alcotest.test_case "prefilter without reachability" `Quick
       test_prefilter_without_reachability;
+    Alcotest.test_case "unexcitable agrees with reachable constants" `Quick
+      test_unexcitable_reachable;
     Alcotest.test_case "differential soundness fuzz" `Slow
       test_differential_soundness;
   ]
