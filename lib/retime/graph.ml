@@ -5,7 +5,12 @@
    Edges remember the physical source node (gate, PI or constant generator)
    so the retimed circuit can be materialized with per-source register-chain
    sharing.  Constant generators (self-looped DFFs used to model constants)
-   are pinned to lag 0 like the host: their value never changes. *)
+   are pinned to lag 0 like the host: their value never changes.
+
+   Each edge also carries its endpoints' dense vertices, so a lag is an
+   array read; the per-source and per-vertex edge lists (for incremental
+   deepening) and each gate's fewest registers to a PO (for early FEAS
+   refutation) are computed once here. *)
 
 type edge = {
   src_node : int;               (* netlist id: gate output, PI, or const DFF *)
@@ -15,6 +20,8 @@ type edge = {
   dst_node : int;
   dst_pin : int;
   po_index : int;
+  src_vertex : int;             (* dense vertex of a gate source, else -1 *)
+  dst_vertex : int;             (* dense vertex of the reading gate, or -1 *)
 }
 
 type t = {
@@ -23,6 +30,10 @@ type t = {
   vertex_of_gate : int array;   (* netlist id -> dense vertex index, or -1 *)
   edges : edge array;
   delays : float array;         (* per dense vertex index *)
+  fanout_edges : int array array;  (* netlist id -> indices of its out-edges *)
+  fanin_edges : int array array;   (* dense vertex -> indices of its in-edges *)
+  registers_to_po : int array;     (* dense vertex -> fewest registers on a
+                                      path to a PO, [max_int] if none *)
 }
 
 let num_gates g = Array.length g.gates
@@ -60,6 +71,40 @@ let trace_back c is_const f =
   in
   walk f 0
 
+(* Group edge indices by a key; [-1] keys are skipped. *)
+let group size key edges =
+  let lists = Array.make size [] in
+  for i = Array.length edges - 1 downto 0 do
+    let k = key edges.(i) in
+    if k >= 0 then lists.(k) <- i :: lists.(k)
+  done;
+  Array.map Array.of_list lists
+
+(* Fewest original registers on any path from each gate to a PO: a reverse
+   shortest-path fixpoint from the PO edges (weights are non-negative). *)
+let po_distances n edges fanin_edges =
+  let dist = Array.make n max_int in
+  let work = Queue.create () in
+  let lower v d =
+    if d < dist.(v) then begin
+      dist.(v) <- d;
+      Queue.add v work
+    end
+  in
+  Array.iter
+    (fun e ->
+      if e.dst_node < 0 && e.src_vertex >= 0 then lower e.src_vertex e.weight)
+    edges;
+  while not (Queue.is_empty work) do
+    let v = Queue.pop work in
+    Array.iter
+      (fun i ->
+        let e = edges.(i) in
+        if e.src_vertex >= 0 then lower e.src_vertex (e.weight + dist.(v)))
+      fanin_edges.(v)
+  done;
+  dist
+
 let of_netlist c =
   let is_const = const_dffs c in
   let gates = ref [] in
@@ -72,6 +117,17 @@ let of_netlist c =
   let gates = Array.of_list (List.rev !gates) in
   let vertex_of_gate = Array.make (Netlist.Node.num_nodes c) (-1) in
   Array.iteri (fun i id -> vertex_of_gate.(id) <- i) gates;
+  let edge src_node weight ~dst_node ~dst_pin ~po_index =
+    {
+      src_node;
+      weight;
+      dst_node;
+      dst_pin;
+      po_index;
+      src_vertex = vertex_of_gate.(src_node);
+      dst_vertex = (if dst_node < 0 then -1 else vertex_of_gate.(dst_node));
+    }
+  in
   let edges = ref [] in
   Array.iter
     (fun gid ->
@@ -80,17 +136,14 @@ let of_netlist c =
         (fun pin f ->
           let src_node, w = trace_back c is_const f in
           edges :=
-            { src_node; weight = w; dst_node = gid; dst_pin = pin;
-              po_index = -1 }
+            edge src_node w ~dst_node:gid ~dst_pin:pin ~po_index:(-1)
             :: !edges)
         nd.Netlist.Node.fanins)
     gates;
   Array.iteri
     (fun k (_, id) ->
       let src_node, w = trace_back c is_const id in
-      edges :=
-        { src_node; weight = w; dst_node = -1; dst_pin = 0; po_index = k }
-        :: !edges)
+      edges := edge src_node w ~dst_node:(-1) ~dst_pin:0 ~po_index:k :: !edges)
     c.Netlist.Node.pos;
   let delays =
     Array.map
@@ -102,24 +155,25 @@ let of_netlist c =
         | Netlist.Node.Pi _ | Netlist.Node.Dff _ -> 0.0)
       gates
   in
+  let edges = Array.of_list (List.rev !edges) in
+  let n = Array.length gates in
+  let fanin_edges = group n (fun e -> e.dst_vertex) edges in
   {
     circuit = c;
     gates;
     vertex_of_gate;
-    edges = Array.of_list (List.rev !edges);
+    edges;
     delays;
+    fanout_edges =
+      group (Netlist.Node.num_nodes c) (fun e -> e.src_node) edges;
+    fanin_edges;
+    registers_to_po = po_distances n edges fanin_edges;
   }
 
-(* Lag of a physical node: gates carry the retiming value, PIs/POs (host)
-   and constant generators are pinned to 0. *)
-let lag g r node =
-  if node < 0 then 0
-  else
-    match (Netlist.Node.node g.circuit node).Netlist.Node.kind with
-    | Netlist.Node.Gate _ -> r.(g.vertex_of_gate.(node))
-    | Netlist.Node.Pi _ | Netlist.Node.Dff _ -> 0
-
-let retimed_weight g r e = e.weight + lag g r e.dst_node - lag g r e.src_node
+let retimed_weight _g r e =
+  e.weight
+  + (if e.dst_vertex >= 0 then r.(e.dst_vertex) else 0)
+  - if e.src_vertex >= 0 then r.(e.src_vertex) else 0
 
 let legal g r = Array.for_all (fun e -> retimed_weight g r e >= 0) g.edges
 
@@ -127,11 +181,10 @@ let legal g r = Array.for_all (fun e -> retimed_weight g r e >= 0) g.edges
    sharing: each physical source drives one chain as deep as its deepest
    out-edge. *)
 let total_registers_shared g r =
-  let best = Hashtbl.create 97 in
-  Array.iter
-    (fun e ->
-      let w = retimed_weight g r e in
-      let cur = try Hashtbl.find best e.src_node with Not_found -> 0 in
-      if w > cur then Hashtbl.replace best e.src_node w)
-    g.edges;
-  Hashtbl.fold (fun _ w acc -> acc + w) best 0
+  Array.fold_left
+    (fun acc out ->
+      acc
+      + Array.fold_left
+          (fun d i -> max d (retimed_weight g r g.edges.(i)))
+          0 out)
+    0 g.fanout_edges

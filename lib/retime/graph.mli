@@ -13,6 +13,9 @@ type edge = {
   dst_node : int;   (** reading gate id, or -1 for a primary output *)
   dst_pin : int;
   po_index : int;   (** PO index when [dst_node = -1], else -1 *)
+  src_vertex : int; (** dense vertex of a gate source; -1 for PIs and
+                        constants (lag pinned to 0) *)
+  dst_vertex : int; (** dense vertex of the reading gate; -1 for a PO *)
 }
 
 type t = {
@@ -21,6 +24,13 @@ type t = {
   vertex_of_gate : int array;   (** node id -> dense vertex index, or -1 *)
   edges : edge array;
   delays : float array;         (** per dense vertex *)
+  fanout_edges : int array array;
+  (** node id -> indices into [edges] of the edges it sources *)
+  fanin_edges : int array array;
+  (** dense vertex -> indices into [edges] of the edges it reads *)
+  registers_to_po : int array;
+  (** dense vertex -> fewest registers on any path from it to a PO
+      (original weights), [max_int] when no PO is reachable *)
 }
 
 val num_gates : t -> int
@@ -33,10 +43,7 @@ val trace_back : Netlist.Node.t -> bool array -> int -> int * int
 
 val of_netlist : Netlist.Node.t -> t
 
-(** Lag of a physical node under lag function [r] (host/constants: 0). *)
-val lag : t -> int array -> int -> int
-
-(** w_r(e) = w(e) + r(dst) - r(src). *)
+(** w_r(e) = w(e) + r(dst) - r(src); the host and constants have lag 0. *)
 val retimed_weight : t -> int array -> edge -> int
 
 (** All retimed weights non-negative. *)

@@ -3,7 +3,15 @@
    times, compute combinational arrival times on the retimed graph and
    increment the lag of every vertex whose arrival exceeds P.  If the clock
    period of the final retiming meets P and all retimed weights are
-   non-negative, P is feasible. *)
+   non-negative, P is feasible.
+
+   Early refutation (exact).  FEAS only ever raises lags, and the host (PIs,
+   POs) and constants stay at lag 0.  Along any path from gate v to a PO
+   carrying W registers the retimed weights sum to W - r(v).  So once r(v)
+   exceeds [registers_to_po.(v)], the fewest registers on any such path,
+   that path holds a negative edge in this and every later iterate: no
+   iterate can pass the final legality test, and FEAS returns [None] at
+   once instead of running out its |V| - 1 rounds. *)
 
 let log = Logs.Src.create "retime" ~doc:"retiming"
 module Log = (val Logs.src_log log : Logs.LOG)
@@ -14,31 +22,20 @@ let m_feas_relaxations = Obs.Metrics.counter "retime.feas.relaxations"
 let m_search_probes = Obs.Metrics.counter "retime.search.probes"
 let m_deepen_moves = Obs.Metrics.counter "retime.deepen.moves"
 
-(* Combinational arrival times of the retimed graph: edges with retimed
-   weight <= 0 propagate combinationally.  Returns None if that subgraph has
-   a cycle (the retiming is broken). *)
+(* Combinational arrival times of the retimed graph: gate-to-gate edges with
+   retimed weight <= 0 propagate combinationally.  Returns None if that
+   subgraph has a cycle (the retiming is broken). *)
 let arrivals g r =
   let n = Graph.num_gates g in
   let delta = Array.make n 0.0 in
   let indeg = Array.make n 0 in
   let succs = Array.make n [] in
-  (* per-gate incoming zero-weight edges from gates *)
   Array.iter
     (fun (e : Graph.edge) ->
-      if e.Graph.dst_node >= 0 then begin
-        let w = Graph.retimed_weight g r e in
-        if w <= 0 then begin
-          let dst_v = g.Graph.vertex_of_gate.(e.Graph.dst_node) in
-          match
-            (Netlist.Node.node g.Graph.circuit e.Graph.src_node)
-              .Netlist.Node.kind
-          with
-          | Netlist.Node.Gate _ ->
-            let src_v = g.Graph.vertex_of_gate.(e.Graph.src_node) in
-            indeg.(dst_v) <- indeg.(dst_v) + 1;
-            succs.(src_v) <- dst_v :: succs.(src_v)
-          | Netlist.Node.Pi _ | Netlist.Node.Dff _ -> ()
-        end
+      let s = e.Graph.src_vertex and d = e.Graph.dst_vertex in
+      if s >= 0 && d >= 0 && Graph.retimed_weight g r e <= 0 then begin
+        indeg.(d) <- indeg.(d) + 1;
+        succs.(s) <- d :: succs.(s)
       end)
     g.Graph.edges;
   let queue = Queue.create () in
@@ -64,10 +61,12 @@ let period_of g r =
   | None -> infinity
   | Some delta -> Array.fold_left max 0.0 delta
 
-(* FEAS: returns a legal retiming achieving period <= p, or None. *)
+(* FEAS: returns a legal retiming achieving period <= p, or None (early
+   when a lag passes its [registers_to_po] bound; see the header). *)
 let feas g ~period:p =
   Obs.Metrics.incr m_feas_calls;
   let n = Graph.num_gates g in
+  let bound = g.Graph.registers_to_po in
   let r = Array.make n 0 in
   let rec loop i =
     match arrivals g r with
@@ -79,10 +78,14 @@ let feas g ~period:p =
       else if i >= n then None
       else begin
         Obs.Metrics.incr m_feas_relaxations;
+        let doomed = ref false in
         for v = 0 to n - 1 do
-          if delta.(v) > p +. 1e-9 then r.(v) <- r.(v) + 1
+          if delta.(v) > p +. 1e-9 then begin
+            r.(v) <- r.(v) + 1;
+            if r.(v) > bound.(v) then doomed := true
+          end
         done;
-        loop (i + 1)
+        if !doomed then None else loop (i + 1)
       end
   in
   loop 0
@@ -125,19 +128,53 @@ let retime_to_period g ~period =
    accepted move is exactly the paper's Figure-1 atomic transformation: a
    register at a gate's output is replaced by registers at its inputs, which
    multiplies registers across fanin and fanout — the mechanism that dilutes
-   the density of encoding. *)
+   the density of encoding.
+
+   A move changes only the weights of the moved gate's in- and out-edges,
+   so the retimed weights, the count of negative ones and each source's
+   chain depth are kept up to date over those edges instead of rescanning
+   the graph; only the period check runs a full arrival pass. *)
 let deepen g r ~period ~max_lag ~max_regs =
   let n = Graph.num_gates g in
+  let edges = g.Graph.edges in
+  let w = Array.map (Graph.retimed_weight g r) edges in
+  let negative =
+    ref (Array.fold_left (fun k x -> if x < 0 then k + 1 else k) 0 w)
+  in
+  let chain_depth s =
+    Array.fold_left (fun d i -> max d w.(i)) 0 g.Graph.fanout_edges.(s)
+  in
+  let depth = Array.init (Array.length g.Graph.fanout_edges) chain_depth in
+  let regs = ref (Array.fold_left ( + ) 0 depth) in
+  let shift i d =
+    let old = w.(i) in
+    w.(i) <- old + d;
+    if old < 0 && w.(i) >= 0 then decr negative
+    else if old >= 0 && w.(i) < 0 then incr negative
+  in
+  let restat s =
+    let d = chain_depth s in
+    regs := !regs - depth.(s) + d;
+    depth.(s) <- d
+  in
+  (* r(v) += d, then refresh the chain depth of every source it touches *)
+  let move v d =
+    r.(v) <- r.(v) + d;
+    let fanin = g.Graph.fanin_edges.(v) and own = g.Graph.gates.(v) in
+    Array.iter (fun i -> shift i d) fanin;
+    Array.iter (fun i -> shift i (-d)) g.Graph.fanout_edges.(own);
+    restat own;
+    Array.iter (fun i -> restat edges.(i).Graph.src_node) fanin
+  in
   let try_move v =
     if r.(v) >= max_lag then false
     else begin
-      r.(v) <- r.(v) + 1;
+      move v 1;
       let ok =
-        Graph.legal g r
+        !negative = 0 && !regs <= max_regs
         && period_of g r <= period +. 1e-9
-        && Graph.total_registers_shared g r <= max_regs
       in
-      if not ok then r.(v) <- r.(v) - 1 else Obs.Metrics.incr m_deepen_moves;
+      if not ok then move v (-1) else Obs.Metrics.incr m_deepen_moves;
       ok
     end
   in

@@ -8,11 +8,12 @@ let cost f = { cubes = Cover.size f; lits = Cover.literals f }
 
 let better a b = a.cubes < b.cubes || (a.cubes = b.cubes && a.lits < b.lits)
 
-(* EXPAND each cube against the OFF-set: raise literals to don't care as long
-   as the cube stays disjoint from every OFF cube; afterwards drop cubes
-   contained in the expanded one.  Cubes are processed largest-first so big
-   primes swallow small cubes early. *)
-let expand f ~off =
+(* EXPAND each cube against the care cover ON ∪ DC: raise literals to don't
+   care as long as the cube stays inside it, that is, disjoint from the
+   OFF-set (cand ∩ OFF = ∅ ⇔ cand ⊆ ON ∪ DC, so no OFF-set is built);
+   afterwards drop cubes contained in the expanded one.  Cubes are processed
+   largest-first so big primes swallow small cubes early. *)
+let expand f ~care =
   let n = f.Cover.n in
   let ordered =
     List.sort
@@ -25,10 +26,7 @@ let expand f ~off =
       let l = Cube.get_lit !cur i in
       if l = Cube.lit_pos || l = Cube.lit_neg then begin
         let cand = Cube.set_lit !cur i Cube.lit_dc in
-        let hits_off =
-          List.exists (fun o -> Cube.intersects n cand o) off.Cover.cubes
-        in
-        if not hits_off then cur := cand
+        if Cover.covers_cube care cand then cur := cand
       end
     done;
     !cur
@@ -119,14 +117,14 @@ let reduce f ~dc =
 
 (* Main loop.  [on] and [dc] are the ON- and DC-set covers. *)
 let espresso ?(max_iters = 12) ~on ~dc () =
-  let off = Cover.complement (Cover.union on dc) in
-  let f = expand (Cover.drop_contained on) ~off in
+  let care = Cover.union on dc in
+  let f = expand (Cover.drop_contained on) ~care in
   let f = irredundant f ~dc in
   let rec loop f best iters =
     if iters >= max_iters then best
     else begin
       let f = reduce f ~dc in
-      let f = expand f ~off in
+      let f = expand f ~care in
       let f = irredundant f ~dc in
       if better (cost f) (cost best) then loop f f (iters + 1) else best
     end

@@ -11,8 +11,9 @@ val cost : Cover.t -> cost
 val better : cost -> cost -> bool
 
 (** Raise literals of each cube to don't-care as long as the cube stays
-    disjoint from the OFF-set; swallowed cubes are dropped. *)
-val expand : Cover.t -> off:Cover.t -> Cover.t
+    inside [care] (ON ∪ DC), i.e. disjoint from the OFF-set, which is never
+    built; swallowed cubes are dropped. *)
+val expand : Cover.t -> care:Cover.t -> Cover.t
 
 (** Greedily delete cubes covered by the rest of the cover plus [dc]. *)
 val irredundant : Cover.t -> dc:Cover.t -> Cover.t

@@ -154,8 +154,167 @@ let test_illegal_lags_rejected () =
 let test_feas_infeasible_period () =
   let r = synth ~seed:97 () in
   let g = Retime.Graph.of_netlist r.Synth.Flow.circuit in
+  let relaxations = Obs.Metrics.counter "retime.feas.relaxations" in
+  let before = Obs.Metrics.count relaxations in
   Alcotest.(check bool) "absurd period infeasible" true
-    (Retime.Solve.feas g ~period:0.1 = None)
+    (Retime.Solve.feas g ~period:0.1 = None);
+  (* every gate misses 0.1, so the first round lifts a gate that drives a
+     PO with no register between: refuted after one round, not |V| - 1 *)
+  Alcotest.(check int) "refuted in one round" 1
+    (Obs.Metrics.count relaxations - before)
+
+(* --- early-exit FEAS and incremental deepening against full loops -------
+
+   Random sequential netlists: gates over earlier gates, PIs and DFFs;
+   DFFs fed by gates, PIs or other DFFs (register chains, so edges carry
+   several registers), sometimes a constant generator.  Every DFF loop
+   passes through a gate or is a constant, so the circuit is well formed. *)
+let random_circuit seed =
+  let rng = Random.State.make [| seed |] in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let b = Netlist.Build.create () in
+  let pis = Array.init (1 + Random.State.int rng 3) (fun i ->
+      Netlist.Build.add_pi b (Printf.sprintf "i%d" i)) in
+  let dffs = Array.init (1 + Random.State.int rng 6) (fun i ->
+      Netlist.Build.add_dff b (Printf.sprintf "q%d" i)) in
+  let consts =
+    if Random.State.bool rng then [| Netlist.Build.add_const b "k" true |]
+    else [||]
+  in
+  let sources = ref (Array.concat [ pis; dffs; consts ]) in
+  let gates = Array.init (3 + Random.State.int rng 20) (fun i ->
+      let fn, arity =
+        pick Netlist.Node.[| (And, 2); (Or, 2); (Nand, 3); (Nor, 2); (Xor, 2);
+                             (Not, 1); (Buf, 1); (And, 1) |]
+      in
+      let g =
+        Netlist.Build.add_gate b fn (Printf.sprintf "g%d" i)
+          (Array.init arity (fun _ -> pick !sources))
+      in
+      sources := Array.append !sources [| g |];
+      g)
+  in
+  Array.iteri
+    (fun k d ->
+      let from =
+        match Random.State.int rng 4 with
+        | 0 -> pick pis
+        | 1 when k > 0 -> dffs.(Random.State.int rng k)
+        | _ -> pick gates
+      in
+      Netlist.Build.connect_dff b d from)
+    dffs;
+  for k = 0 to Random.State.int rng 3 do
+    Netlist.Build.add_po b (Printf.sprintf "o%d" k) (pick gates)
+  done;
+  Netlist.Build.finalize b
+
+(* Each edge's dense endpoints stand for the node kinds they replace:
+   gates have a vertex, PIs, constants and POs do not. *)
+let endpoints_match_kinds (g : Retime.Graph.t) =
+  let vertex id =
+    if id < 0 then -1
+    else
+      match (Netlist.Node.node g.Retime.Graph.circuit id).Netlist.Node.kind with
+      | Netlist.Node.Gate _ -> g.Retime.Graph.vertex_of_gate.(id)
+      | Netlist.Node.Pi _ | Netlist.Node.Dff _ -> -1
+  in
+  Array.for_all
+    (fun (e : Retime.Graph.edge) ->
+      e.Retime.Graph.src_vertex = vertex e.Retime.Graph.src_node
+      && e.Retime.Graph.dst_vertex = vertex e.Retime.Graph.dst_node)
+    g.Retime.Graph.edges
+
+(* FEAS as it ran before early refutation: all |V| - 1 rounds. *)
+let feas_full g ~period:p =
+  let n = Retime.Graph.num_gates g in
+  let r = Array.make n 0 in
+  let rec loop i =
+    match Retime.Solve.arrivals g r with
+    | None -> None
+    | Some delta ->
+      if Array.fold_left max 0.0 delta <= p +. 1e-9 then
+        if Retime.Graph.legal g r then Some (Array.copy r) else None
+      else if i >= n then None
+      else begin
+        Array.iteri (fun v d -> if d > p +. 1e-9 then r.(v) <- r.(v) + 1) delta;
+        loop (i + 1)
+      end
+  in
+  loop 0
+
+(* Deepening as it ran before incremental bookkeeping: every trial move
+   rescans legality, the period and a per-source Hashtbl of chain depths. *)
+let deepen_full g r ~period ~max_lag ~max_regs =
+  let regs r =
+    let best = Hashtbl.create 97 in
+    Array.iter
+      (fun (e : Retime.Graph.edge) ->
+        let w = Retime.Graph.retimed_weight g r e in
+        let cur =
+          Option.value ~default:0 (Hashtbl.find_opt best e.Retime.Graph.src_node)
+        in
+        if w > cur then Hashtbl.replace best e.Retime.Graph.src_node w)
+      g.Retime.Graph.edges;
+    Hashtbl.fold (fun _ w acc -> acc + w) best 0
+  in
+  let try_move v =
+    r.(v) < max_lag
+    && begin
+      r.(v) <- r.(v) + 1;
+      let ok =
+        Retime.Graph.legal g r
+        && Retime.Solve.period_of g r <= period +. 1e-9
+        && regs r <= max_regs
+      in
+      if not ok then r.(v) <- r.(v) - 1;
+      ok
+    end
+  in
+  let improved = ref true and rounds = ref 0 in
+  while !improved && !rounds < max_lag do
+    improved := false;
+    incr rounds;
+    for v = 0 to Retime.Graph.num_gates g - 1 do
+      if try_move v then improved := true
+    done
+  done
+
+(* Periods from below the largest gate delay (always infeasible) up to the
+   unretimed period (always feasible, by r = 0). *)
+let probe_periods g =
+  let lo = Array.fold_left max 0.0 g.Retime.Graph.delays in
+  let hi = Retime.Solve.period_of g (Array.make (Retime.Graph.num_gates g) 0) in
+  (lo *. 0.5) :: List.init 9 (fun k -> lo +. ((hi -. lo) *. float_of_int k /. 8.0))
+
+let qcheck_feas_early_exit =
+  Helpers.qcheck_case ~count:150 "early-exit FEAS = full |V|-1 loop"
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let g = Retime.Graph.of_netlist (random_circuit seed) in
+      endpoints_match_kinds g
+      && List.for_all
+           (fun p -> Retime.Solve.feas g ~period:p = feas_full g ~period:p)
+           (probe_periods g))
+
+let qcheck_deepen_incremental =
+  Helpers.qcheck_case ~count:100 "incremental deepen = rescanning deepen"
+    QCheck2.Gen.(triple (int_range 0 100_000) (int_range 1 4) (int_range 1 4))
+    (fun (seed, max_lag, factor) ->
+      let g = Retime.Graph.of_netlist (random_circuit seed) in
+      let zero = Array.make (Retime.Graph.num_gates g) 0 in
+      let period = Retime.Solve.period_of g zero in
+      let max_regs = factor * max 1 (Retime.Graph.total_registers_shared g zero) in
+      List.for_all
+        (fun p ->
+          match Retime.Solve.feas g ~period:p with
+          | None -> true
+          | Some r ->
+            let r' = Array.copy r in
+            Retime.Solve.deepen g r ~period ~max_lag ~max_regs;
+            deepen_full g r' ~period ~max_lag ~max_regs;
+            r = r')
+        (probe_periods g))
 
 let suite =
   [
@@ -170,4 +329,6 @@ let suite =
       test_retime_idempotent_when_zero;
     Alcotest.test_case "illegal lags rejected" `Quick test_illegal_lags_rejected;
     Alcotest.test_case "infeasible period" `Quick test_feas_infeasible_period;
+    qcheck_feas_early_exit;
+    qcheck_deepen_incremental;
   ]

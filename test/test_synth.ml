@@ -239,6 +239,29 @@ let test_golden_synthesis_hashes () =
         ("scf", Input_dominant, Synth.Flow.Rugged, "2a1f750eb2180cf6");
       ]
 
+(* Retiming output pinned the same way: the [retimed] circuit of four
+   Table-2 pairs and one partially retimed Table-7 version.  Any change to
+   FEAS, the period search, deepening or materialization fails here. *)
+let test_golden_retiming_hashes () =
+  List.iter
+    (fun (fsm, algorithm, script, want) ->
+      let p = Core.Flow.pair fsm algorithm script in
+      Alcotest.(check string) (p.Core.Flow.name ^ ".re") want
+        (Netlist.Structhash.circuit p.Core.Flow.retimed))
+    Synth.Assign.
+      [
+        ("dk16", Input_dominant, Synth.Flow.Delay, "a72d80bb95813fef");
+        ("pma", Output_dominant, Synth.Flow.Delay, "5f2e62c7fa05a33e");
+        ("s510", Combined, Synth.Flow.Delay, "06589e7027288744");
+        ("scf", Input_dominant, Synth.Flow.Delay, "a2bf2f42f62af4b2");
+      ];
+  let name, c, _ =
+    List.find
+      (fun (name, _, _) -> name = "s510.jo.sr.re.v2")
+      (Core.Flow.sensitivity_versions ())
+  in
+  Alcotest.(check string) name "6646f13ba1d44cfe" (Netlist.Structhash.circuit c)
+
 let suite =
   [
     Alcotest.test_case "state minimization behaviour" `Quick
@@ -258,4 +281,6 @@ let suite =
     qcheck_flow_random_fsms;
     Alcotest.test_case "golden synthesis hashes" `Quick
       test_golden_synthesis_hashes;
+    Alcotest.test_case "golden retiming hashes" `Quick
+      test_golden_retiming_hashes;
   ]

@@ -170,6 +170,55 @@ let qcheck_sccc_full_width =
         (list_size (int_range 0 8) (gen_fields ~lit:8 wide)))
     sccc_matches_complement
 
+(* EXPAND as it ran against a built OFF-set: a raised literal is kept when
+   the cube still misses every OFF cube.  Oracle for [Minimize.expand],
+   which asks the same question as containment in ON ∪ DC. *)
+let expand_against_off f ~off =
+  let n = f.Twolevel.Cover.n in
+  let ordered =
+    List.sort
+      (fun a b ->
+        compare (Twolevel.Cube.num_literals n a) (Twolevel.Cube.num_literals n b))
+      f.Twolevel.Cover.cubes
+  in
+  let expand_cube c =
+    let cur = ref c in
+    for i = 0 to n - 1 do
+      let l = Twolevel.Cube.get_lit !cur i in
+      if l = Twolevel.Cube.lit_pos || l = Twolevel.Cube.lit_neg then begin
+        let cand = Twolevel.Cube.set_lit !cur i Twolevel.Cube.lit_dc in
+        if not (List.exists (Twolevel.Cube.intersects n cand) off.Twolevel.Cover.cubes)
+        then cur := cand
+      end
+    done;
+    !cur
+  in
+  let rec loop acc = function
+    | [] -> List.rev acc
+    | c :: rest ->
+      if List.exists (fun d -> Twolevel.Cube.contains d c) acc then loop acc rest
+      else begin
+        let e = expand_cube c in
+        let rest = List.filter (fun d -> not (Twolevel.Cube.contains e d)) rest in
+        let acc = List.filter (fun d -> not (Twolevel.Cube.contains e d)) acc in
+        loop (e :: acc) rest
+      end
+  in
+  { f with Twolevel.Cover.cubes = loop [] ordered }
+
+(* Both a fresh ON cover and a REDUCEd one, as espresso expands them. *)
+let qcheck_expand_care =
+  Helpers.qcheck_case ~count:300 "expand ~care = expand against the OFF-set"
+    QCheck2.Gen.(pair (gen_cover 10) (gen_cover 3))
+    (fun (on, dc) ->
+      let care = Twolevel.Cover.union on dc in
+      let off = Twolevel.Cover.complement care in
+      let same f =
+        Twolevel.Minimize.expand f ~care = expand_against_off f ~off
+      in
+      same (Twolevel.Cover.drop_contained on)
+      && same (Twolevel.Minimize.reduce on ~dc))
+
 let test_espresso_classic () =
   (* f = a'b + ab + ab' should reduce to a + b *)
   let on =
@@ -212,6 +261,7 @@ let suite =
     qcheck_branch_var_full_width;
     qcheck_sccc;
     qcheck_sccc_full_width;
+    qcheck_expand_care;
     Alcotest.test_case "espresso textbook example" `Quick test_espresso_classic;
     Alcotest.test_case "espresso exploits don't cares" `Quick test_dc_exploited;
   ]
