@@ -44,9 +44,9 @@ type t = {
   mutable generation : int;
 }
 
-let create c =
+let create (tape : Sim.Tape.t) =
+  let c = tape.Sim.Tape.circuit in
   let n = Netlist.Node.num_nodes c in
-  let tape = Sim.Tape.compile c in
   let key_of_node = Array.make n (-1) in
   let num_gates = tape.Sim.Tape.num_gates in
   (* gates first, in tape topological order (the PR 8 IR's [topo_slot]),

@@ -42,7 +42,9 @@ type t
     must carry for the clause to apply. *)
 type literal = { key : int; frame : int; value : bool }
 
-val create : Netlist.Node.t -> t
+(** An empty store over the tape's circuit, keyed by the tape's stable
+    line keys; one per ATPG run. *)
+val create : Sim.Tape.t -> t
 
 (** Stable per-line key: the tape [topo_slot] for gates, then primary
     inputs, then state (DFF) outputs.  Total over all node ids. *)

@@ -303,8 +303,9 @@ let cube_matches_code cube code =
     cube;
   !ok
 
-let justify ?(directory = []) ?guide ?slearn c ~required ~cfg ~stats
-    ~(learn : learn_state option) =
+let justify ?(directory = []) ?guide ?slearn (tape : Sim.Tape.t) ~required
+    ~cfg ~stats ~(learn : learn_state option) =
+  let c = tape.Sim.Tape.circuit in
   let nbits = Array.length required in
   let visited = Hashtbl.create 64 in
   (* simulation-seeded shortcut: a state already visited by the random phase
@@ -410,7 +411,7 @@ let justify ?(directory = []) ?guide ?slearn c ~required ~cfg ~stats
     let local_backtracks = ref 0 in
     let probe_limit = 60 in
     let sg = cube_signature required in
-    let fr = Frames.create ?guide c ~frames:1 ~stats in
+    let fr = Frames.create ?guide tape ~frames:1 ~stats in
     if from_init then
       Array.iteri
         (fun j id ->

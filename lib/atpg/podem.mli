@@ -65,7 +65,7 @@ val justify :
   ?directory:(Sim.Statekey.t * Sim.Vectors.sequence) list ->
   ?guide:int array * int array ->
   ?slearn:Learn.t ->
-  Netlist.Node.t ->
+  Sim.Tape.t ->
   required:Sim.Value3.t array ->
   cfg:Types.config ->
   stats:Types.stats ->

@@ -161,18 +161,18 @@ let apply_prune ?prune c ~engine ~faults ~status ~detected ~stats ~resolved =
           faults)
 
 (* Attempt one fault deterministically. *)
-let attempt_fault ?directory ?guide ?slearn c fault cfg fstats learn =
+let attempt_fault ?directory ?guide ?slearn tape fault cfg fstats learn =
   try
     let fr =
-      Frames.create ~fault ?guide c ~frames:cfg.Types.max_frames_fwd
+      Frames.create ~fault ?guide tape ~frames:cfg.Types.max_frames_fwd
         ~stats:fstats
     in
     match Podem.phase_a ?slearn fr fault cfg fstats with
     | Podem.Detected ->
       let required = Array.copy fr.Frames.ps0 in
       (match
-         Podem.justify ?directory ?guide ?slearn c ~required ~cfg ~stats:fstats
-           ~learn
+         Podem.justify ?directory ?guide ?slearn tape ~required ~cfg
+           ~stats:fstats ~learn
        with
        | Some prefix ->
          let forward =
@@ -219,10 +219,15 @@ let generate ?(config = Types.scaled_config ()) ?(seed = 1)
   let learn_state =
     match learn with Some l -> l | None -> Podem.new_learn_state ()
   in
+  (* one tape (with its fanout index) per run, shared read-only by every
+     attempt's frames, on any domain *)
+  let tape = Sim.Tape.compile c in
   (* conflict-driven structural learning: one clause store for the whole
      run, shared across faults (phase-A clauses per anchor site, phase-B
      failed-cube clauses globally) *)
-  let slearn = if cfg.Types.struct_learn then Some (Learn.create c) else None in
+  let slearn =
+    if cfg.Types.struct_learn then Some (Learn.create tape) else None
+  in
   (* Fault-simulate [seq] with dropping; returns the newly dropped fault
      indices (ascending).  Emits one "fault_sim" event per call. *)
   let apply_fault_sim ~phase seq =
@@ -297,7 +302,7 @@ let generate ?(config = Types.scaled_config ()) ?(seed = 1)
     let fstats = Types.new_stats () in
     let learn_arg = if cfg.Types.learn then Some learn_state else None in
     let outcome =
-      attempt_fault ~directory ?guide ?slearn c fault cfg fstats learn_arg
+      attempt_fault ~directory ?guide ?slearn tape fault cfg fstats learn_arg
     in
     (outcome, fstats)
   in

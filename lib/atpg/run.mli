@@ -73,7 +73,8 @@ val apply_prune :
   resolved:int ref ->
   unit
 
-(** Deterministic attempt on one fault (exposed for tests/benches).
+(** Deterministic attempt on one fault (exposed for tests/benches) over
+    the circuit's compiled tape, which {!generate} builds once per run.
     [guide] is the optional SCOAP [(cc0, cc1)] cost table steering
     PODEM's backtrace input choice; [slearn] the optional cross-fault
     structural-learning store (see {!module:Learn}). *)
@@ -81,7 +82,7 @@ val attempt_fault :
   ?directory:(Sim.Statekey.t * Sim.Vectors.sequence) list ->
   ?guide:int array * int array ->
   ?slearn:Learn.t ->
-  Netlist.Node.t ->
+  Sim.Tape.t ->
   Fsim.Fault.t ->
   Types.config ->
   Types.stats ->

@@ -1,9 +1,14 @@
 (** Shared ATPG types: engine configuration, budgets, work accounting and
     per-circuit results.
 
-    "CPU time" is reported in deterministic {e work units} — gate
-    evaluations plus weighted backtracks — so the retimed/original ratios
-    of the paper's tables are reproducible independent of the host. *)
+    "CPU time" is reported in deterministic {e work units} so the
+    retimed/original ratios of the paper's tables are reproducible
+    independent of the host.  A work unit is a unit of the cost model,
+    not a count of evaluations performed: one unit per gate of each
+    full-sweep evaluation of a time frame or simulated cycle, one per
+    node an X-path check visits, plus 50 per backtrack.  {!Frames.imply}
+    is event-driven and evaluates only the gates a change reaches, yet
+    is charged the full sweep per frame. *)
 
 type config = {
   max_frames_fwd : int;   (** forward time frames for fault propagation *)
@@ -40,7 +45,7 @@ val scaled_config : ?base:config -> unit -> config
 val scale_budgets : config -> float -> config
 
 type stats = {
-  mutable work : int;        (** gate evaluations *)
+  mutable work : int;        (** charged gate evaluations and X-path visits *)
   mutable backtracks : int;
   mutable decisions : int;
   mutable frames : int;      (** time frames expanded ({!Frames.create}) *)

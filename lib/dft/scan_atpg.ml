@@ -39,6 +39,7 @@ let generate ?(config = Atpg.Types.scaled_config ()) ?(seed = 1)
   let detected = Array.make n false in
   let stats = Atpg.Types.new_stats () in
   let test_sets = ref [] in
+  let tape = Sim.Tape.compile c in
   let apply_fault_sim seq =
     let run = Fsim.Engine.simulate ~skip:detected c faults seq in
     stats.Atpg.Types.work <-
@@ -67,8 +68,8 @@ let generate ?(config = Atpg.Types.scaled_config ()) ?(seed = 1)
            then raise Exit;
            let fstats = Atpg.Types.new_stats () in
            let fr =
-             Atpg.Frames.create ~fault c ~frames:cfg.Atpg.Types.max_frames_fwd
-               ~stats:fstats
+             Atpg.Frames.create ~fault tape
+               ~frames:cfg.Atpg.Types.max_frames_fwd ~stats:fstats
            in
            let outcome =
              try

@@ -14,6 +14,8 @@ type t = {
   fanin : int array;
   level_off : int array;
   topo_slot : int array;
+  fanout_base : int array;
+  fanout : int array;
   pis : int array;
   pos : int array;
   dffs : int array;
@@ -127,6 +129,26 @@ let compile (c : Netlist.Node.t) =
         invalid_arg "Tape.compile: levelization invariant violated"
     done
   done;
+  (* Slot-level fanout index, the transpose of [fanin]: a counting pass,
+     prefix sums, then a fill in slot order, so each node's consumer
+     slots come out ascending. *)
+  let fanout_base = Array.make (n + 1) 0 in
+  for p = 0 to !fp - 1 do
+    let src = fanin.(p) in
+    fanout_base.(src + 1) <- fanout_base.(src + 1) + 1
+  done;
+  for id = 0 to n - 1 do
+    fanout_base.(id + 1) <- fanout_base.(id + 1) + fanout_base.(id)
+  done;
+  let fanout = Array.make (max 1 !fp) 0 in
+  let next = Array.sub fanout_base 0 n in
+  for s = 0 to num_gates - 1 do
+    for p = fanin_base.(s) to fanin_base.(s + 1) - 1 do
+      let src = fanin.(p) in
+      fanout.(next.(src)) <- s;
+      next.(src) <- next.(src) + 1
+    done
+  done;
   let dffs = c.Netlist.Node.dffs in
   {
     circuit = c;
@@ -139,6 +161,8 @@ let compile (c : Netlist.Node.t) =
     fanin;
     level_off;
     topo_slot;
+    fanout_base;
+    fanout;
     pis = Array.copy c.Netlist.Node.pis;
     pos = Array.map snd c.Netlist.Node.pos;
     dffs = Array.copy dffs;

@@ -36,6 +36,15 @@ type t = private {
                                  length [max gate level + 2].  Level 0 (the
                                  PI/DFF sources) holds no slots. *)
   topo_slot : int array;     (** slots in [Netlist.Node.order] sequence *)
+  fanout_base : int array;   (** node id -> first index into [fanout];
+                                 length [num_nodes + 1], so node [id]'s
+                                 consumers are [fanout.(fanout_base.(id))
+                                 .. fanout.(fanout_base.(id+1) - 1)] *)
+  fanout : int array;        (** flattened consumer slots: for each node,
+                                 the slots reading it, ascending, once
+                                 per pin (the transpose of [fanin]; what
+                                 an event-driven evaluator marks dirty
+                                 when the node's value changes) *)
   pis : int array;           (** PI index -> node id *)
   pos : int array;           (** PO index -> driving node id *)
   dffs : int array;          (** DFF index -> node id *)

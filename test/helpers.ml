@@ -71,3 +71,52 @@ let state_vector c ~bits code =
       if j < bits then Sim.Value3.of_bool ((code lsr j) land 1 = 1)
       else Sim.Value3.of_bool (Netlist.Node.dff_init c id))
     c.Netlist.Node.dffs
+
+(* A small random sequential circuit: a few PIs/DFFs/gates with random
+   connectivity, always Check-clean.  The fuzz generator of the tape,
+   untestability and frames differential suites. *)
+let random_circuit rng =
+  let b = Netlist.Build.create () in
+  let npis = 1 + Random.State.int rng 3 in
+  let ndffs = 1 + Random.State.int rng 4 in
+  let ngates = 4 + Random.State.int rng 9 in
+  let pool = ref [] in
+  for i = 0 to npis - 1 do
+    pool := Netlist.Build.add_pi b (Printf.sprintf "i%d" i) :: !pool
+  done;
+  let dffs =
+    Array.init ndffs (fun i ->
+        let init = Random.State.bool rng in
+        let q = Netlist.Build.add_dff b ~init (Printf.sprintf "q%d" i) in
+        pool := q :: !pool;
+        q)
+  in
+  let pick () =
+    let l = !pool in
+    List.nth l (Random.State.int rng (List.length l))
+  in
+  let fns =
+    [| Netlist.Node.And; Netlist.Node.Or; Netlist.Node.Nand;
+       Netlist.Node.Nor; Netlist.Node.Not; Netlist.Node.Xor;
+       Netlist.Node.Xnor; Netlist.Node.Buf |]
+  in
+  let last = ref None in
+  for i = 0 to ngates - 1 do
+    let fn = fns.(Random.State.int rng (Array.length fns)) in
+    let arity =
+      match fn with
+      | Netlist.Node.Not | Netlist.Node.Buf -> 1
+      | Netlist.Node.Xor | Netlist.Node.Xnor -> 2
+      | _ -> 2 + Random.State.int rng 2
+    in
+    let ins = Array.init arity (fun _ -> pick ()) in
+    let g = Netlist.Build.add_gate b fn (Printf.sprintf "g%d" i) ins in
+    pool := g :: !pool;
+    last := Some g
+  done;
+  Array.iter (fun q -> Netlist.Build.connect_dff b q (pick ())) dffs;
+  (match !last with
+  | Some g -> Netlist.Build.add_po b "z0" g
+  | None -> ());
+  Netlist.Build.add_po b "z1" (pick ());
+  Netlist.Build.finalize b

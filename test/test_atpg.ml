@@ -19,7 +19,7 @@ let test_frames_good_matches_scalar () =
      equal the scalar simulator cycle by cycle *)
   let c = Helpers.toy_circuit () in
   let stats = Atpg.Types.new_stats () in
-  let fr = Atpg.Frames.create c ~frames:3 ~stats in
+  let fr = Atpg.Frames.create (Sim.Tape.compile c) ~frames:3 ~stats in
   let rng = Random.State.make [| 9 |] in
   let vectors = List.init 3 (fun _ -> Sim.Vectors.random_vector rng 2) in
   List.iteri
@@ -49,7 +49,9 @@ let test_frames_fault_injection () =
   let n3 = Netlist.Node.find_by_name c "n3" in
   let f = { Fsim.Fault.site = Fsim.Fault.Stem n3; stuck = true } in
   let stats = Atpg.Types.new_stats () in
-  let fr = Atpg.Frames.create ~fault:f c ~frames:1 ~stats in
+  let fr =
+    Atpg.Frames.create ~fault:f (Sim.Tape.compile c) ~frames:1 ~stats
+  in
   Array.iteri (fun i _ -> fr.Atpg.Frames.pi.(0).(i) <- Sim.Value3.Zero)
     fr.Atpg.Frames.pi.(0);
   Array.iteri (fun j _ -> fr.Atpg.Frames.ps0.(j) <- Sim.Value3.Zero)
@@ -67,7 +69,9 @@ let test_phase_a_finds_easy_fault () =
      storms *)
   let stats = Atpg.Types.new_stats () in
   let f = faults.(0) in
-  let fr = Atpg.Frames.create ~fault:f c ~frames:4 ~stats in
+  let fr =
+    Atpg.Frames.create ~fault:f (Sim.Tape.compile c) ~frames:4 ~stats
+  in
   match Atpg.Podem.phase_a fr f tiny_config stats with
   | Atpg.Podem.Detected -> ()
   | Atpg.Podem.Exhausted _ ->
@@ -92,7 +96,10 @@ let test_justify_reset_compatible () =
       if j = 0 then
         required.(j) <- Sim.Value3.of_bool (Netlist.Node.dff_init c id))
     c.Netlist.Node.dffs;
-  match Atpg.Podem.justify c ~required ~cfg:tiny_config ~stats ~learn:None with
+  match
+    Atpg.Podem.justify (Sim.Tape.compile c) ~required ~cfg:tiny_config ~stats
+      ~learn:None
+  with
   | Some [] -> ()
   | Some _ -> Alcotest.fail "expected empty prefix"
   | None -> Alcotest.fail "power-up state must justify"
@@ -109,7 +116,9 @@ let test_justify_unreachable_fails () =
   let stats = Atpg.Types.new_stats () in
   let required = [| Sim.Value3.One |] in
   Alcotest.(check bool) "unreachable state not justified" true
-    (Atpg.Podem.justify c ~required ~cfg:tiny_config ~stats ~learn:None = None)
+    (Atpg.Podem.justify (Sim.Tape.compile c) ~required ~cfg:tiny_config
+       ~stats ~learn:None
+    = None)
 
 let test_generated_tests_validated () =
   let c = small_circuit ~seed:58 () in
@@ -217,6 +226,219 @@ let test_budget_env_validation () =
           | exception Invalid_argument _ -> ()))
     [ "0"; "-2"; "inf"; "nan" ]
 
+(* --- event-driven implication vs a full-sweep reference -----------------
+
+   The reference re-evaluates every node of every frame from [from] on,
+   walking the netlist's node records in topological order, and lists
+   each frame's D-frontier in that order: the sweep [Frames.imply] ran
+   before it became event-driven.  Both share the pseudo-inputs of the
+   frames under test and keep their own values. *)
+
+type reference = {
+  rgood : Sim.Value3.t array array;
+  rfaulty : Sim.Value3.t array array;
+  rfrontier : int list array;
+}
+
+let reference_imply (fr : Atpg.Frames.t) r ~from =
+  let c = fr.Atpg.Frames.circuit in
+  let stem, pin_site, stuck =
+    match fr.Atpg.Frames.fault with
+    | Some { Fsim.Fault.site = Fsim.Fault.Stem s; stuck } ->
+      (s, None, Sim.Value3.of_bool stuck)
+    | Some { Fsim.Fault.site = Fsim.Fault.Pin { gate; pin }; stuck } ->
+      (-1, Some (gate, pin), Sim.Value3.of_bool stuck)
+    | None -> (-1, None, Sim.Value3.X)
+  in
+  let faulty_pin frame gate p src =
+    if pin_site = Some (gate, p) then stuck else r.rfaulty.(frame).(src)
+  in
+  for frame = from to fr.Atpg.Frames.k - 1 do
+    let g = r.rgood.(frame) and f = r.rfaulty.(frame) in
+    Array.iteri
+      (fun i id ->
+        g.(id) <- fr.Atpg.Frames.pi.(frame).(i);
+        f.(id) <- (if id = stem then stuck else g.(id)))
+      c.Netlist.Node.pis;
+    Array.iteri
+      (fun j id ->
+        let data = (Netlist.Node.node c id).Netlist.Node.fanins.(0) in
+        g.(id) <-
+          (if frame = 0 then fr.Atpg.Frames.ps0.(j)
+           else r.rgood.(frame - 1).(data));
+        f.(id) <-
+          (if id = stem then stuck
+           else if frame = 0 then fr.Atpg.Frames.ps0.(j)
+           else faulty_pin (frame - 1) id 0 data))
+      c.Netlist.Node.dffs;
+    let front = ref [] in
+    Array.iter
+      (fun id ->
+        let nd = Netlist.Node.node c id in
+        match nd.Netlist.Node.kind with
+        | Netlist.Node.Gate fn ->
+          let fanins = nd.Netlist.Node.fanins in
+          let gin = Array.map (fun s -> g.(s)) fanins in
+          let fin = Array.mapi (fun p s -> faulty_pin frame id p s) fanins in
+          g.(id) <- Sim.Value3.eval_gate fn gin;
+          f.(id) <- (if id = stem then stuck else Sim.Value3.eval_gate fn fin);
+          if (g.(id) = Sim.Value3.X || f.(id) = Sim.Value3.X)
+             && Array.exists2 Atpg.Frames.is_d gin fin
+          then front := id :: !front
+        | Netlist.Node.Pi _ | Netlist.Node.Dff _ -> ())
+      c.Netlist.Node.order;
+    r.rfrontier.(frame) <- !front
+  done
+
+(* The five fault kinds: stem on a PI, a DFF and a gate; a gate pin; a
+   DFF pin.  [None] when the circuit has no site of the kind. *)
+let fault_of_kind c rng kind =
+  let gates = Array.to_list c.Netlist.Node.order in
+  let pick = function
+    | [] -> None
+    | l -> Some (List.nth l (Random.State.int rng (List.length l)))
+  in
+  let stuck = Random.State.bool rng in
+  let stem id = { Fsim.Fault.site = Fsim.Fault.Stem id; stuck } in
+  let pin gate pin =
+    { Fsim.Fault.site = Fsim.Fault.Pin { gate; pin }; stuck }
+  in
+  match kind with
+  | 0 -> Option.map stem (pick (Array.to_list c.Netlist.Node.pis))
+  | 1 -> Option.map stem (pick (Array.to_list c.Netlist.Node.dffs))
+  | 2 -> Option.map stem (pick gates)
+  | 3 ->
+    Option.map
+      (fun g ->
+        pin g
+          (Random.State.int rng
+             (Array.length (Netlist.Node.node c g).Netlist.Node.fanins)))
+      (pick gates)
+  | _ ->
+    Option.map (fun q -> pin q 0) (pick (Array.to_list c.Netlist.Node.dffs))
+
+let random_v3 rng =
+  match Random.State.int rng 3 with
+  | 0 -> Sim.Value3.Zero
+  | 1 -> Sim.Value3.One
+  | _ -> Sim.Value3.X
+
+let qcheck_event_driven_imply =
+  Helpers.qcheck_case ~count:300
+    "event-driven imply ~from = full-sweep reference"
+    QCheck2.Gen.(triple (int_range 0 1_000_000) (int_range 1 6) (int_range 0 4))
+    (fun (seed, k, kind) ->
+      let rng = Random.State.make [| seed; 0xF5 |] in
+      let c = Helpers.random_circuit rng in
+      match fault_of_kind c rng kind with
+      | None -> true
+      | Some fault ->
+        let stats = Atpg.Types.new_stats () in
+        let tape = Sim.Tape.compile c in
+        let fr = Atpg.Frames.create ~fault tape ~frames:k ~stats in
+        let n = Netlist.Node.num_nodes c in
+        let r =
+          {
+            rgood = Array.init k (fun _ -> Array.make n Sim.Value3.X);
+            rfaulty = Array.init k (fun _ -> Array.make n Sim.Value3.X);
+            rfrontier = Array.make k [];
+          }
+        in
+        let npi = Netlist.Node.num_pis c and ndff = Netlist.Node.num_dffs c in
+        let agree () =
+          List.for_all
+            (fun t ->
+              fr.Atpg.Frames.good.(t) = r.rgood.(t)
+              && fr.Atpg.Frames.faulty.(t) = r.rfaulty.(t)
+              && fr.Atpg.Frames.frontier.(t) = r.rfrontier.(t))
+            (List.init k Fun.id)
+        in
+        let step () =
+          (* assign or unassign one pseudo-input, then imply from its
+             frame or, one step in four, from a random one *)
+          let frame =
+            if Random.State.int rng (npi * k + ndff) < ndff then begin
+              let j = Random.State.int rng ndff in
+              fr.Atpg.Frames.ps0.(j) <- random_v3 rng;
+              0
+            end
+            else begin
+              let t = Random.State.int rng k in
+              fr.Atpg.Frames.pi.(t).(Random.State.int rng npi) <- random_v3 rng;
+              t
+            end
+          in
+          let from =
+            if Random.State.int rng 4 = 0 then Random.State.int rng k
+            else frame
+          in
+          let work = stats.Atpg.Types.work in
+          Atpg.Frames.imply ~from fr;
+          reference_imply fr r ~from;
+          stats.Atpg.Types.work - work = (k - from) * Netlist.Node.num_gates c
+          && agree ()
+        in
+        Atpg.Frames.imply fr;
+        reference_imply fr r ~from:0;
+        agree () && List.for_all (fun _ -> step ()) (List.init 40 Fun.id))
+
+(* PODEM pinned to digests taken before implication became event-driven:
+   per-fault statuses, work units, backtracks, decisions, frames and test
+   sequences of a HITEC run on two Table-2 pairs, with structural learning
+   off and on.  Any change to what the search does, or to what it is
+   charged, fails here. *)
+let podem_digest (r : Atpg.Types.result) =
+  let b = Buffer.create 1024 in
+  Array.iter
+    (fun st -> Printf.bprintf b "%s\n" (Fsim.Fault.status_to_string st))
+    r.Atpg.Types.status;
+  let s = r.Atpg.Types.stats in
+  Printf.bprintf b "work_units=%d backtracks=%d decisions=%d frames=%d\n"
+    (Atpg.Types.work_units s) s.Atpg.Types.backtracks s.Atpg.Types.decisions
+    s.Atpg.Types.frames;
+  List.iter
+    (fun seq ->
+      List.iter
+        (fun v ->
+          Array.iter (fun x -> Buffer.add_char b (if x then '1' else '0')) v;
+          Buffer.add_char b ' ')
+        seq;
+      Buffer.add_char b '\n')
+    r.Atpg.Types.test_sets;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_podem_digests () =
+  List.iter
+    (fun (fsm, algorithm, script, retimed, struct_learn, want) ->
+      let p = Core.Flow.pair fsm algorithm script in
+      let name, c = Core.Flow.circuit p ~retimed in
+      let config =
+        {
+          Atpg.Types.default_config with
+          Atpg.Types.learn = false;
+          struct_learn;
+        }
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s struct_learn=%b" name struct_learn)
+        want
+        (podem_digest (Atpg.Hitec.generate ~config c)))
+    Synth.Assign.
+      [
+        ("dk16", Combined, Synth.Flow.Delay, false, false,
+         "9fdd97a7235366da45056a56cb15d258");
+        ("dk16", Combined, Synth.Flow.Delay, false, true,
+         "1888f19156ff479c2644aca5b0ed9183");
+        ("dk16", Combined, Synth.Flow.Delay, true, false,
+         "3b7e6f95cce8b7a4823a79a02a057405");
+        ("dk16", Combined, Synth.Flow.Delay, true, true,
+         "bf1aebf9b47c58b5fe2cb1d9910347a1");
+        ("pma", Input_dominant, Synth.Flow.Delay, true, false,
+         "36d440c77b85f2dbf912fe1edc22dd68");
+        ("pma", Input_dominant, Synth.Flow.Delay, true, true,
+         "0a5a9188b57547084485e7300d376f01");
+      ]
+
 let suite =
   [
     Alcotest.test_case "frames good machine = scalar sim" `Quick
@@ -241,4 +463,7 @@ let suite =
     Alcotest.test_case "budget env scaling" `Quick test_budget_scaling_env;
     Alcotest.test_case "budget env validation" `Quick
       test_budget_env_validation;
+    qcheck_event_driven_imply;
+    Alcotest.test_case "golden PODEM digests" `Quick
+      test_golden_podem_digests;
   ]

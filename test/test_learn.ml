@@ -43,10 +43,11 @@ let test_minimal_clause () =
   let c, stem, g = wall_circuit () in
   let fault = sa0 stem in
   let stats = Atpg.Types.new_stats () in
-  let fr = Atpg.Frames.create ~fault c ~frames:1 ~stats in
+  let tape = Sim.Tape.compile c in
+  let fr = Atpg.Frames.create ~fault tape ~frames:1 ~stats in
   fr.Atpg.Frames.pi.(0).(pi_index c "b") <- Sim.Value3.Zero;
   Atpg.Frames.imply fr;
-  let t = Atpg.Learn.create c in
+  let t = Atpg.Learn.create tape in
   let site = Atpg.Learn.anchor fault in
   match Atpg.Learn.analyze t ~site ~stats fr with
   | None -> Alcotest.fail "expected a clause"
@@ -65,9 +66,10 @@ let test_analyze_refuses_open_cone () =
   let c, stem, _ = wall_circuit () in
   let fault = sa0 stem in
   let stats = Atpg.Types.new_stats () in
-  let fr = Atpg.Frames.create ~fault c ~frames:1 ~stats in
+  let tape = Sim.Tape.compile c in
+  let fr = Atpg.Frames.create ~fault tape ~frames:1 ~stats in
   Atpg.Frames.imply fr;
-  let t = Atpg.Learn.create c in
+  let t = Atpg.Learn.create tape in
   Alcotest.(check bool) "no clause" true
     (Atpg.Learn.analyze t ~site:(Atpg.Learn.anchor fault) ~stats fr = None);
   Alcotest.(check bool) "store empty, nothing blocked" false
@@ -77,10 +79,11 @@ let test_cross_frame_clause_and_reuse () =
   let c, stem, g = cross_frame_circuit () in
   let fault = sa0 stem in
   let stats = Atpg.Types.new_stats () in
-  let fr = Atpg.Frames.create ~fault c ~frames:2 ~stats in
+  let tape = Sim.Tape.compile c in
+  let fr = Atpg.Frames.create ~fault tape ~frames:2 ~stats in
   fr.Atpg.Frames.pi.(1).(pi_index c "b") <- Sim.Value3.Zero;
   Atpg.Frames.imply fr;
-  let t = Atpg.Learn.create c in
+  let t = Atpg.Learn.create tape in
   let site = Atpg.Learn.anchor fault in
   (match Atpg.Learn.analyze t ~site ~stats fr with
    | None -> Alcotest.fail "expected a clause"
@@ -104,7 +107,7 @@ let test_cross_frame_clause_and_reuse () =
 
 let test_failed_cube_generalization () =
   let c, _, _ = wall_circuit () in
-  let t = Atpg.Learn.create c in
+  let t = Atpg.Learn.create (Sim.Tape.compile c) in
   let stats = Atpg.Types.new_stats () in
   let x = Sim.Value3.X and z = Sim.Value3.Zero and o = Sim.Value3.One in
   (* complete refutation that only ever read bit 0: generalizes to (0,-) *)

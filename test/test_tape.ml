@@ -12,54 +12,6 @@ let with_jobs n f =
   Exec.Pool.set_jobs n;
   Fun.protect ~finally:Exec.Pool.reset_jobs f
 
-(* Same generator family as the untestability differential suite: a few
-   PIs/DFFs/gates with random connectivity, always Check-clean. *)
-let random_circuit rng =
-  let b = Netlist.Build.create () in
-  let npis = 1 + Random.State.int rng 3 in
-  let ndffs = 1 + Random.State.int rng 4 in
-  let ngates = 4 + Random.State.int rng 9 in
-  let pool = ref [] in
-  for i = 0 to npis - 1 do
-    pool := Netlist.Build.add_pi b (Printf.sprintf "i%d" i) :: !pool
-  done;
-  let dffs =
-    Array.init ndffs (fun i ->
-        let init = Random.State.bool rng in
-        let q = Netlist.Build.add_dff b ~init (Printf.sprintf "q%d" i) in
-        pool := q :: !pool;
-        q)
-  in
-  let pick () =
-    let l = !pool in
-    List.nth l (Random.State.int rng (List.length l))
-  in
-  let fns =
-    [| Netlist.Node.And; Netlist.Node.Or; Netlist.Node.Nand;
-       Netlist.Node.Nor; Netlist.Node.Not; Netlist.Node.Xor;
-       Netlist.Node.Xnor; Netlist.Node.Buf |]
-  in
-  let last = ref None in
-  for i = 0 to ngates - 1 do
-    let fn = fns.(Random.State.int rng (Array.length fns)) in
-    let arity =
-      match fn with
-      | Netlist.Node.Not | Netlist.Node.Buf -> 1
-      | Netlist.Node.Xor | Netlist.Node.Xnor -> 2
-      | _ -> 2 + Random.State.int rng 2
-    in
-    let ins = Array.init arity (fun _ -> pick ()) in
-    let g = Netlist.Build.add_gate b fn (Printf.sprintf "g%d" i) ins in
-    pool := g :: !pool;
-    last := Some g
-  done;
-  Array.iter (fun q -> Netlist.Build.connect_dff b q (pick ())) dffs;
-  (match !last with
-  | Some g -> Netlist.Build.add_po b "z0" g
-  | None -> ());
-  Netlist.Build.add_po b "z1" (pick ());
-  Netlist.Build.finalize b
-
 (* A [length]-DFF shift register: PI -> q0 -> q1 -> ... -> PO.  65 stages
    put live state bits beyond the 62 lanes of an int, which is exactly
    where the old int state codes aliased. *)
@@ -179,7 +131,7 @@ let run_parallel ~backend c vectors =
 let test_tape_matches_scalar_fuzz () =
   let rng = Random.State.make [| 0x7a9e; 2 |] in
   for trial = 1 to 30 do
-    let c = random_circuit rng in
+    let c = Helpers.random_circuit rng in
     let vectors =
       Sim.Vectors.random_sequence rng ~width:(Netlist.Node.num_pis c)
         ~length:50
@@ -198,10 +150,38 @@ let test_tape_matches_scalar_fuzz () =
       (List.combine so po)
   done
 
+(* The fanout index is the transpose of the fanin slices: node [id]'s
+   consumers are exactly the slots reading it, ascending, a slot listed
+   once per pin that reads [id]. *)
+let test_fanout_index_fuzz () =
+  let rng = Random.State.make [| 0x7a9e; 5 |] in
+  for trial = 1 to 30 do
+    let c = Helpers.random_circuit rng in
+    let tp = Sim.Tape.compile c in
+    for id = 0 to tp.Sim.Tape.num_nodes - 1 do
+      let want =
+        List.concat_map
+          (fun s ->
+            List.filter_map
+              (fun p -> if tp.Sim.Tape.fanin.(p) = id then Some s else None)
+              (List.init
+                 (tp.Sim.Tape.fanin_base.(s + 1) - tp.Sim.Tape.fanin_base.(s))
+                 (fun i -> tp.Sim.Tape.fanin_base.(s) + i)))
+          (List.init tp.Sim.Tape.num_gates Fun.id)
+      in
+      let b = tp.Sim.Tape.fanout_base.(id)
+      and e = tp.Sim.Tape.fanout_base.(id + 1) in
+      let got = Array.to_list (Array.sub tp.Sim.Tape.fanout b (e - b)) in
+      Alcotest.(check (list int))
+        (Printf.sprintf "trial %d node %d consumers" trial id)
+        want got
+    done
+  done
+
 let test_tape_matches_nodes_fuzz () =
   let rng = Random.State.make [| 0x7a9e; 3 |] in
   for trial = 1 to 30 do
-    let c = random_circuit rng in
+    let c = Helpers.random_circuit rng in
     let st = Sim.Parallel.create ~backend:`Tape c in
     let sn = Sim.Parallel.create ~backend:`Nodes c in
     Sim.Parallel.reset st;
@@ -286,7 +266,7 @@ let test_engine_backends_pairs () =
 let test_engine_backends_fuzz () =
   let rng = Random.State.make [| 0x7a9e; 5 |] in
   for trial = 1 to 30 do
-    let c = random_circuit rng in
+    let c = Helpers.random_circuit rng in
     engine_backend_check c (Printf.sprintf "fuzz %d" trial)
   done
 
@@ -441,4 +421,6 @@ let suite =
       test_machine_input_code_guard;
     Alcotest.test_case "cycle sets distinct beyond 62 DFFs" `Quick
       test_cycles_beyond_62;
+    Alcotest.test_case "fanout index is the fanin transpose (fuzz)" `Quick
+      test_fanout_index_fuzz;
   ]

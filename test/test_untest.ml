@@ -510,52 +510,6 @@ let exhaustively_detectable c (fault : Fsim.Fault.t) =
   done;
   !detected
 
-let random_circuit rng =
-  let b = Netlist.Build.create () in
-  let npis = 1 + Random.State.int rng 3 in
-  let ndffs = 1 + Random.State.int rng 4 in
-  let ngates = 4 + Random.State.int rng 9 in
-  let pool = ref [] in
-  for i = 0 to npis - 1 do
-    pool := Netlist.Build.add_pi b (Printf.sprintf "i%d" i) :: !pool
-  done;
-  let dffs =
-    Array.init ndffs (fun i ->
-        let init = Random.State.bool rng in
-        let q = Netlist.Build.add_dff b ~init (Printf.sprintf "q%d" i) in
-        pool := q :: !pool;
-        q)
-  in
-  let pick () =
-    let l = !pool in
-    List.nth l (Random.State.int rng (List.length l))
-  in
-  let fns =
-    [| Netlist.Node.And; Netlist.Node.Or; Netlist.Node.Nand;
-       Netlist.Node.Nor; Netlist.Node.Not; Netlist.Node.Xor;
-       Netlist.Node.Xnor; Netlist.Node.Buf |]
-  in
-  let last = ref None in
-  for i = 0 to ngates - 1 do
-    let fn = fns.(Random.State.int rng (Array.length fns)) in
-    let arity =
-      match fn with
-      | Netlist.Node.Not | Netlist.Node.Buf -> 1
-      | Netlist.Node.Xor | Netlist.Node.Xnor -> 2
-      | _ -> 2 + Random.State.int rng 2
-    in
-    let ins = Array.init arity (fun _ -> pick ()) in
-    let g = Netlist.Build.add_gate b fn (Printf.sprintf "g%d" i) ins in
-    pool := g :: !pool;
-    last := Some g
-  done;
-  Array.iter (fun q -> Netlist.Build.connect_dff b q (pick ())) dffs;
-  (match !last with
-  | Some g -> Netlist.Build.add_po b "z0" g
-  | None -> ());
-  Netlist.Build.add_po b "z1" (pick ());
-  Netlist.Build.finalize b
-
 let test_prefilter_never_proved () =
   let seq, _, _, _ = seq_redundant_circuit () in
   let cb, _, _, _ = const_blocked_circuit () in
@@ -566,7 +520,8 @@ let test_prefilter_never_proved () =
   in
   let rng = Random.State.make [| 0x5ea1; 7 |] in
   let fuzz =
-    List.init 20 (fun k -> (Printf.sprintf "fuzz %d" k, random_circuit rng))
+    List.init 20 (fun k ->
+        (Printf.sprintf "fuzz %d" k, Helpers.random_circuit rng))
   in
   let detected =
     List.fold_left
@@ -611,7 +566,8 @@ let test_unexcitable_reachable () =
   (* the circuits of the differential soundness fuzz below *)
   let rng = Random.State.make [| 0x5ea1; 42 |] in
   let fuzz =
-    List.init 30 (fun k -> (Printf.sprintf "fuzz %d" k, random_circuit rng))
+    List.init 30 (fun k ->
+        (Printf.sprintf "fuzz %d" k, Helpers.random_circuit rng))
   in
   let checked =
     List.fold_left
@@ -628,7 +584,7 @@ let test_differential_soundness () =
   let circuits = 30 in
   let proved_total = ref 0 in
   for trial = 1 to circuits do
-    let c = random_circuit rng in
+    let c = Helpers.random_circuit rng in
     let t = Analysis.Untest.classify ~product:true c in
     (* every prover verdict must agree with exhaustive fault simulation *)
     Array.iteri
