@@ -519,13 +519,16 @@ let product_undetectable ~max_nodes ~work c (f : Fsim.Fault.t) =
 let presimulate ~work c faults =
   let rng = Random.State.make [| 0x9e37; Netlist.Node.num_nodes c |] in
   let detected = Array.make (Array.length faults) false in
+  let tape = Sim.Tape.compile c in
   for _round = 1 to 4 do
     let vectors =
       Sim.Vectors.random_sequence rng ~width:(Netlist.Node.num_pis c)
         ~length:128
     in
     (* fault dropping: lanes already detected in earlier rounds are free *)
-    let run = Fsim.Engine.simulate ~skip:(Array.copy detected) c faults vectors in
+    let run =
+      Fsim.Engine.simulate ~skip:(Array.copy detected) ~tape c faults vectors
+    in
     work := !work + run.Fsim.Engine.cycles;
     Array.iteri
       (fun i d -> if d then detected.(i) <- true)

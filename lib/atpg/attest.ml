@@ -109,9 +109,10 @@ let score c dist s v =
     end
   end
 
-let search_fault c dist fault ~rng ~max_steps ~candidates_per_step ~stats =
+let search_fault tape dist fault ~rng ~max_steps ~candidates_per_step ~stats =
+  let c = tape.Sim.Tape.circuit in
   let s =
-    { good = Sim.Parallel.create c; faulty = Sim.Parallel.create c }
+    { good = Sim.Parallel.create_on tape; faulty = Sim.Parallel.create_on tape }
   in
   Fsim.Fault.inject s.faulty fault ~lane:0;
   Sim.Parallel.reset s.good;
@@ -180,8 +181,10 @@ let generate ?(config = Types.scaled_config ()) ?(seed = 3) ?prune c =
   let resolved = ref 0 in
   Run.apply_prune ?prune c ~engine:"attest" ~faults ~status ~detected ~stats
     ~resolved;
+  (* one tape per run: every fault's search and every fault simulation *)
+  let tape = Sim.Tape.compile c in
   let apply_fault_sim ~phase seq =
-    let run = Fsim.Engine.simulate ~skip:detected c faults seq in
+    let run = Fsim.Engine.simulate ~skip:detected ~tape c faults seq in
     let work = List.length seq * Netlist.Node.num_gates c in
     stats.Types.work <- stats.Types.work + work;
     Run.note_run_states stats run;
@@ -215,7 +218,7 @@ let generate ?(config = Types.scaled_config ()) ?(seed = 3) ?prune c =
     let fstats = Types.new_stats () in
     let outcome, drop_credit =
       match
-        search_fault c dist fault ~rng ~max_steps ~candidates_per_step:8
+        search_fault tape dist fault ~rng ~max_steps ~candidates_per_step:8
           ~stats:fstats
       with
       | Some seq ->

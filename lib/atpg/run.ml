@@ -50,8 +50,8 @@ let note_run_states stats (run : Fsim.Engine.run) =
 
 (* Record the good-machine states visited by a sequence, each with the
    input prefix that reaches it — the justification directory. *)
-let state_directory c seqs =
-  let sim = Sim.Parallel.create c in
+let state_directory tape seqs =
+  let sim = Sim.Parallel.create_on tape in
   let seen = Hashtbl.create 256 in
   let dir = ref [] in
   let note code prefix =
@@ -220,7 +220,7 @@ let generate ?(config = Types.scaled_config ()) ?(seed = 1)
     match learn with Some l -> l | None -> Podem.new_learn_state ()
   in
   (* one tape (with its fanout index) per run, shared read-only by every
-     attempt's frames, on any domain *)
+     attempt's frames, on any domain, and by every fault simulation *)
   let tape = Sim.Tape.compile c in
   (* conflict-driven structural learning: one clause store for the whole
      run, shared across faults (phase-A clauses per anchor site, phase-B
@@ -231,7 +231,7 @@ let generate ?(config = Types.scaled_config ()) ?(seed = 1)
   (* Fault-simulate [seq] with dropping; returns the newly dropped fault
      indices (ascending).  Emits one "fault_sim" event per call. *)
   let apply_fault_sim ~phase seq =
-    let run = Fsim.Engine.simulate ~skip:detected c faults seq in
+    let run = Fsim.Engine.simulate ~skip:detected ~tape c faults seq in
     let work = List.length seq * Netlist.Node.num_gates c in
     stats.Types.work <- stats.Types.work + work;
     note_run_states stats run;
@@ -265,7 +265,7 @@ let generate ?(config = Types.scaled_config ()) ?(seed = 1)
             if dropped <> [] then test_sets := seq :: !test_sets;
             checkpoint ())
           random_seqs;
-        let directory = state_directory c random_seqs in
+        let directory = state_directory tape random_seqs in
         let dir_work =
           List.fold_left (fun a s -> a + List.length s) 0 random_seqs
           * Netlist.Node.num_gates c

@@ -52,10 +52,11 @@ val emit_fault_event :
   fstats:Types.stats -> outcome:string -> status:Fsim.Fault.status ->
   drop_credit:int -> stats:Types.stats -> resolved:int -> unit
 
-(** The state directory harvested from simulating [sequences]:
-    (state key, input prefix reaching it) per first visit. *)
+(** The state directory harvested from simulating [sequences] on the
+    circuit's tape: (state key, input prefix reaching it) per first
+    visit. *)
 val state_directory :
-  Netlist.Node.t -> Sim.Vectors.sequence list ->
+  Sim.Tape.t -> Sim.Vectors.sequence list ->
   (Sim.Statekey.t * Sim.Vectors.sequence) list
 
 (** Pre-engine pruning shared by the drivers: mark every fault [prune]

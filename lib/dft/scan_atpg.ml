@@ -41,7 +41,7 @@ let generate ?(config = Atpg.Types.scaled_config ()) ?(seed = 1)
   let test_sets = ref [] in
   let tape = Sim.Tape.compile c in
   let apply_fault_sim seq =
-    let run = Fsim.Engine.simulate ~skip:detected c faults seq in
+    let run = Fsim.Engine.simulate ~skip:detected ~tape c faults seq in
     stats.Atpg.Types.work <-
       stats.Atpg.Types.work + (List.length seq * Netlist.Node.num_gates c);
     Atpg.Run.note_run_states stats run;

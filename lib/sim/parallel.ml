@@ -13,6 +13,16 @@ let word_bits = 62
 
 type backend = [ `Tape | `Nodes ]
 
+(* Injected faults, one representation read by both backends:
+   - stems: per-node lane masks [stem_f0]/[stem_f1], applied to the
+     node's word after it is computed (or loaded, for PIs and DFFs);
+   - gate pins: lane masks at the pin's flat fanin position of the tape
+     ([pin_f0]/[pin_f1]); the gates carrying one are listed ascending in
+     [over_slots] (and flagged in [over_mark]) so the tape backend can
+     sweep the unchecked kernel between them;
+   - DFF data pins: per-DFF lane masks [dff_f0]/[dff_f1], applied at
+     state capture.
+   A zero mask is the identity, so clearing a mask removes the fault. *)
 type t = {
   circuit : Netlist.Node.t;
   tape : Tape.t;
@@ -21,25 +31,36 @@ type t = {
   next_state : int array;                (* captured DFF data, dff order *)
   stem_f0 : int array;                   (* per node: lanes forced to 0 *)
   stem_f1 : int array;                   (* per node: lanes forced to 1 *)
-  pin_over : (int * int, int * int) Hashtbl.t; (* (gate,pin) -> (f0,f1) *)
-  mutable has_pin_over : bool;
-  over_slot : bool array;                (* per tape slot: pin fault here *)
+  pin_f0 : int array;                    (* per fanin position *)
+  pin_f1 : int array;
+  dff_f0 : int array;                    (* per DFF data pin *)
+  dff_f1 : int array;
+  over_slots : int array;                (* pin-faulted slots, ascending *)
+  mutable n_over : int;                  (* live prefix of [over_slots] *)
+  over_mark : Bytes.t;                   (* per slot: in [over_slots] *)
 }
 
 let create_on ?(backend = `Tape) tape =
   let circuit = tape.Tape.circuit in
-  let n = Netlist.Node.num_nodes circuit in
+  let n = tape.Tape.num_nodes in
+  let nd = Array.length tape.Tape.dffs in
+  let nf = Array.length tape.Tape.fanin in
+  let ng = max 1 tape.Tape.num_gates in
   {
     circuit;
     tape;
     backend;
     values = Array.make n 0;
-    next_state = Array.make (Netlist.Node.num_dffs circuit) 0;
+    next_state = Array.make nd 0;
     stem_f0 = Array.make n 0;
     stem_f1 = Array.make n 0;
-    pin_over = Hashtbl.create 31;
-    has_pin_over = false;
-    over_slot = Array.make (max 1 tape.Tape.num_gates) false;
+    pin_f0 = Array.make nf 0;
+    pin_f1 = Array.make nf 0;
+    dff_f0 = Array.make nd 0;
+    dff_f1 = Array.make nd 0;
+    over_slots = Array.make ng 0;
+    n_over = 0;
+    over_mark = Bytes.make ng '\000';
   }
 
 let create ?backend circuit = create_on ?backend (Tape.compile circuit)
@@ -59,59 +80,99 @@ let inject_stem t ~node ~lane ~value =
   if value then t.stem_f1.(node) <- t.stem_f1.(node) lor (1 lsl lane)
   else t.stem_f0.(node) <- t.stem_f0.(node) lor (1 lsl lane)
 
+let set_mask f0 f1 i ~lane ~value =
+  if value then f1.(i) <- f1.(i) lor (1 lsl lane)
+  else f0.(i) <- f0.(i) lor (1 lsl lane)
+
+(* Insert [s] into the ascending [over_slots] list (at most once). *)
+let mark_slot t s =
+  if Bytes.get t.over_mark s = '\000' then begin
+    Bytes.set t.over_mark s '\001';
+    let i = ref t.n_over in
+    while !i > 0 && t.over_slots.(!i - 1) > s do
+      t.over_slots.(!i) <- t.over_slots.(!i - 1);
+      decr i
+    done;
+    t.over_slots.(!i) <- s;
+    t.n_over <- t.n_over + 1
+  end
+
 let inject_pin t ~gate ~pin ~lane ~value =
   check_lane "inject_pin" lane;
-  let f0, f1 =
-    try Hashtbl.find t.pin_over (gate, pin) with Not_found -> (0, 0)
-  in
-  let f0, f1 =
-    if value then (f0, f1 lor (1 lsl lane)) else (f0 lor (1 lsl lane), f1)
-  in
-  Hashtbl.replace t.pin_over (gate, pin) (f0, f1);
-  t.has_pin_over <- true;
-  (* DFF data pins have no slot; their overrides apply at state capture. *)
-  let s = t.tape.Tape.slot_of_node.(gate) in
-  if s >= 0 then t.over_slot.(s) <- true
+  let tp = t.tape in
+  let s = tp.Tape.slot_of_node.(gate) in
+  if s >= 0 then begin
+    let b = tp.Tape.fanin_base.(s) in
+    if pin < 0 || b + pin >= tp.Tape.fanin_base.(s + 1) then
+      invalid_arg "Sim.Parallel.inject_pin: no such gate pin";
+    set_mask t.pin_f0 t.pin_f1 (b + pin) ~lane ~value;
+    mark_slot t s
+  end
+  else begin
+    (* DFF data pins have no slot; their overrides apply at capture *)
+    let i = ref 0 and nd = Array.length tp.Tape.dffs in
+    while !i < nd && tp.Tape.dffs.(!i) <> gate do incr i done;
+    if !i = nd || pin <> 0 then
+      invalid_arg "Sim.Parallel.inject_pin: no such gate or DFF data pin";
+    set_mask t.dff_f0 t.dff_f1 !i ~lane ~value
+  end
+
+let clear_faults t =
+  let tp = t.tape in
+  Array.fill t.stem_f0 0 (Array.length t.stem_f0) 0;
+  Array.fill t.stem_f1 0 (Array.length t.stem_f1) 0;
+  for k = 0 to t.n_over - 1 do
+    let s = t.over_slots.(k) in
+    let b = tp.Tape.fanin_base.(s) in
+    let len = tp.Tape.fanin_base.(s + 1) - b in
+    Array.fill t.pin_f0 b len 0;
+    Array.fill t.pin_f1 b len 0;
+    Bytes.set t.over_mark s '\000'
+  done;
+  t.n_over <- 0;
+  Array.fill t.dff_f0 0 (Array.length t.dff_f0) 0;
+  Array.fill t.dff_f1 0 (Array.length t.dff_f1) 0
 
 let apply_stem t id w = (w land lnot t.stem_f0.(id)) lor t.stem_f1.(id)
 
-let read_pin t gate pin source =
-  let w = t.values.(source) in
-  if t.has_pin_over then
-    match Hashtbl.find_opt t.pin_over (gate, pin) with
-    | None -> w
-    | Some (f0, f1) -> (w land lnot f0) lor f1
-  else w
+(* The word gate pin at flat fanin position [p] reads. *)
+let pin_word t p =
+  (t.values.(t.tape.Tape.fanin.(p)) land lnot t.pin_f0.(p)) lor t.pin_f1.(p)
 
 let reset t =
-  let c = t.circuit in
-  Array.iter
-    (fun id ->
-      let v = if Netlist.Node.dff_init c id then -1 else 0 in
-      t.values.(id) <- apply_stem t id v)
-    c.Netlist.Node.dffs
+  let dffs = t.tape.Tape.dffs and init = t.tape.Tape.dff_init in
+  for i = 0 to Array.length dffs - 1 do
+    t.values.(dffs.(i)) <- apply_stem t dffs.(i) (if init.(i) then -1 else 0)
+  done
 
 let set_state_words t words =
-  Array.iteri
-    (fun i id -> t.values.(id) <- apply_stem t id words.(i))
-    t.circuit.Netlist.Node.dffs
+  let dffs = t.tape.Tape.dffs in
+  for i = 0 to Array.length dffs - 1 do
+    t.values.(dffs.(i)) <- apply_stem t dffs.(i) words.(i)
+  done
 
-let get_state_words t =
-  Array.map (fun id -> t.values.(id)) t.circuit.Netlist.Node.dffs
+let get_state_words t = Array.map (fun id -> t.values.(id)) t.tape.Tape.dffs
 
 (* Broadcast one boolean input vector to all lanes. *)
 let set_input_broadcast t bits =
-  Array.iteri
-    (fun i id ->
-      let v = if bits.(i) then -1 else 0 in
-      t.values.(id) <- apply_stem t id v)
-    t.circuit.Netlist.Node.pis
+  let pis = t.tape.Tape.pis in
+  for i = 0 to Array.length pis - 1 do
+    t.values.(pis.(i)) <- apply_stem t pis.(i) (if bits.(i) then -1 else 0)
+  done
 
 (* Per-lane input words (bit l of [words.(i)] = value of PI i in lane l). *)
 let set_input_words t words =
-  Array.iteri
-    (fun i id -> t.values.(id) <- apply_stem t id words.(i))
-    t.circuit.Netlist.Node.pis
+  let pis = t.tape.Tape.pis in
+  for i = 0 to Array.length pis - 1 do
+    t.values.(pis.(i)) <- apply_stem t pis.(i) words.(i)
+  done
+
+(* The word pin [pin] of gate [gate_id] reads, through its override when
+   the gate carries one. *)
+let read_pin t gate_id pin source =
+  let s = t.tape.Tape.slot_of_node.(gate_id) in
+  if Bytes.get t.over_mark s = '\000' then t.values.(source)
+  else pin_word t (t.tape.Tape.fanin_base.(s) + pin)
 
 let eval_gate_word t gate_id fn fanins =
   let arity = Array.length fanins in
@@ -152,83 +213,64 @@ let eval_gates_nodes t =
       | Netlist.Node.Pi _ | Netlist.Node.Dff _ -> ())
     c.Netlist.Node.order
 
-(* Tape sweep in the presence of pin overrides: identical to
-   [Tape.eval_words] except that the few slots carrying an injected pin
-   fault ([over_slot]) re-read each fanin through the override table.
-   Pin faults touch at most one gate per injected fault, so the fast
-   no-Hashtbl path still covers virtually every slot. *)
-let eval_gates_tape_over t =
+(* One pin-faulted slot: every fanin is read through its pin masks. *)
+let eval_over_slot t s =
   let tp = t.tape in
-  let values = t.values in
-  let op = tp.Tape.op
-  and gid = tp.Tape.node_of_slot
-  and base = tp.Tape.fanin_base
-  and fan = tp.Tape.fanin in
-  for s = 0 to tp.Tape.num_gates - 1 do
-    let b = base.(s) in
-    let e = base.(s + 1) in
-    let id = gid.(s) in
-    let w =
-      if t.over_slot.(s) then begin
-        let pin p = read_pin t id (p - b) fan.(p) in
-        match op.(s) with
-        | 0 -> pin b
-        | 1 -> lnot (pin b)
-        | 2 | 3 ->
-          let acc = ref (pin b) in
-          for p = b + 1 to e - 1 do acc := !acc land pin p done;
-          if op.(s) = 2 then !acc else lnot !acc
-        | 4 | 5 ->
-          let acc = ref (pin b) in
-          for p = b + 1 to e - 1 do acc := !acc lor pin p done;
-          if op.(s) = 4 then !acc else lnot !acc
-        | 6 -> pin b lxor pin (b + 1)
-        | _ -> lnot (pin b lxor pin (b + 1))
-      end
-      else
-        match op.(s) with
-        | 0 -> values.(fan.(b))
-        | 1 -> lnot values.(fan.(b))
-        | 2 | 3 ->
-          let acc = ref values.(fan.(b)) in
-          for p = b + 1 to e - 1 do acc := !acc land values.(fan.(p)) done;
-          if op.(s) = 2 then !acc else lnot !acc
-        | 4 | 5 ->
-          let acc = ref values.(fan.(b)) in
-          for p = b + 1 to e - 1 do acc := !acc lor values.(fan.(p)) done;
-          if op.(s) = 4 then !acc else lnot !acc
-        | 6 -> values.(fan.(b)) lxor values.(fan.(b + 1))
-        | _ -> lnot (values.(fan.(b)) lxor values.(fan.(b + 1)))
-    in
-    values.(id) <- (w land lnot t.stem_f0.(id)) lor t.stem_f1.(id)
-  done
+  let b = tp.Tape.fanin_base.(s) and e = tp.Tape.fanin_base.(s + 1) in
+  let w =
+    match tp.Tape.op.(s) with
+    | 0 -> pin_word t b
+    | 1 -> lnot (pin_word t b)
+    | (2 | 3) as o ->
+      let acc = ref (pin_word t b) in
+      for p = b + 1 to e - 1 do acc := !acc land pin_word t p done;
+      if o = 2 then !acc else lnot !acc
+    | (4 | 5) as o ->
+      let acc = ref (pin_word t b) in
+      for p = b + 1 to e - 1 do acc := !acc lor pin_word t p done;
+      if o = 4 then !acc else lnot !acc
+    | 6 -> pin_word t b lxor pin_word t (b + 1)
+    | _ -> lnot (pin_word t b lxor pin_word t (b + 1))
+  in
+  let id = tp.Tape.node_of_slot.(s) in
+  t.values.(id) <- apply_stem t id w
 
-(* DFF data capture; pin 0 of the DFF node is its data pin for injection. *)
-let capture_next_state t =
+(* Tape sweep: the unchecked kernel runs over the slot ranges between
+   the pin-faulted slots, which are evaluated one by one through their
+   masks — a batch of pin faults costs its faulted gates, not a slower
+   sweep of the whole tape. *)
+let eval_gates_tape t =
   let tp = t.tape in
-  let dffs = tp.Tape.dffs and data = tp.Tape.dff_data in
-  if t.has_pin_over then
-    for i = 0 to Array.length dffs - 1 do
-      t.next_state.(i) <- read_pin t dffs.(i) 0 data.(i)
-    done
-  else
-    for i = 0 to Array.length dffs - 1 do
-      t.next_state.(i) <- t.values.(data.(i))
-    done
+  let lo = ref 0 in
+  for k = 0 to t.n_over - 1 do
+    let s = t.over_slots.(k) in
+    Tape.eval_range tp ~values:t.values ~f0:t.stem_f0 ~f1:t.stem_f1 ~lo:!lo
+      ~hi:s;
+    eval_over_slot t s;
+    lo := s + 1
+  done;
+  Tape.eval_range tp ~values:t.values ~f0:t.stem_f0 ~f1:t.stem_f1 ~lo:!lo
+    ~hi:tp.Tape.num_gates
+
+(* DFF data capture through the data-pin masks. *)
+let capture_next_state t =
+  let data = t.tape.Tape.dff_data in
+  for i = 0 to Array.length data - 1 do
+    t.next_state.(i) <-
+      (t.values.(data.(i)) land lnot t.dff_f0.(i)) lor t.dff_f1.(i)
+  done
 
 let eval_comb t =
   (match t.backend with
   | `Nodes -> eval_gates_nodes t
-  | `Tape ->
-    if t.has_pin_over then eval_gates_tape_over t
-    else
-      Tape.eval_words t.tape ~values:t.values ~f0:t.stem_f0 ~f1:t.stem_f1);
+  | `Tape -> eval_gates_tape t);
   capture_next_state t
 
 let tick t =
-  Array.iteri
-    (fun i id -> t.values.(id) <- apply_stem t id t.next_state.(i))
-    t.circuit.Netlist.Node.dffs
+  let dffs = t.tape.Tape.dffs in
+  for i = 0 to Array.length dffs - 1 do
+    t.values.(dffs.(i)) <- apply_stem t dffs.(i) t.next_state.(i)
+  done
 
 let output_words t =
   Array.map (fun (_, id) -> t.values.(id)) t.circuit.Netlist.Node.pos

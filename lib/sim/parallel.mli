@@ -31,9 +31,20 @@ val tape : t -> Tape.t
     (a wider shift would silently alias another lane). *)
 val inject_stem : t -> node:int -> lane:int -> value:bool -> unit
 
-(** Force input [pin] of [gate] to [value] in [lane].
-    @raise Invalid_argument if [lane] is outside [0 .. word_bits - 1]. *)
+(** Force input [pin] of [gate] to [value] in [lane].  [gate] is a
+    gate, or a DFF with [pin = 0] (its data pin, applied when the state
+    is captured).  A gate pin is held as lane masks at the pin's flat
+    fanin position of the tape, and the [`Tape] backend evaluates the
+    gates carrying one outside its unchecked kernel; both backends read
+    the same masks.
+    @raise Invalid_argument if [lane] is outside [0 .. word_bits - 1],
+    or [gate]/[pin] names no gate pin or DFF data pin. *)
 val inject_pin : t -> gate:int -> pin:int -> lane:int -> value:bool -> unit
+
+(** Remove every injected fault, so the simulator can be reused for
+    another set (values and state are left as they are).  Costs the
+    circuit's node and DFF count plus the faulted gates' pins. *)
+val clear_faults : t -> unit
 
 (** Load the power-up state into every lane. *)
 val reset : t -> unit

@@ -119,7 +119,7 @@ let compile (c : Netlist.Node.t) =
       nd.Netlist.Node.fanins
   done;
   fanin_base.(num_gates) <- !fp;
-  (* Verify the levelization invariant once here so [eval_words] can run
+  (* Verify the levelization invariant once here so [eval_range] can run
      unchecked: every fanin is a source or a strictly earlier slot. *)
   for s = 0 to num_gates - 1 do
     for p = fanin_base.(s) to fanin_base.(s + 1) - 1 do
@@ -175,19 +175,21 @@ let compile (c : Netlist.Node.t) =
 
 (* The hot loop.  Unsafe accesses are justified by the checks in
    [compile] (every slot/fanin index is validated there, once) plus the
-   length check on entry; the dispatch is an int match over contiguous
-   opcodes, which compiles to a jump table. *)
-let eval_words tp ~values ~f0 ~f1 =
+   range and length checks on entry; the dispatch is an int match over
+   contiguous opcodes, which compiles to a jump table. *)
+let eval_range tp ~values ~f0 ~f1 ~lo ~hi =
+  if lo < 0 || hi > tp.num_gates then
+    invalid_arg "Tape.eval_range: slot range outside the tape";
   if
     Array.length values < tp.num_nodes
     || Array.length f0 < tp.num_nodes
     || Array.length f1 < tp.num_nodes
-  then invalid_arg "Tape.eval_words: array shorter than num_nodes";
+  then invalid_arg "Tape.eval_range: array shorter than num_nodes";
   let op = tp.op
   and gid = tp.node_of_slot
   and base = tp.fanin_base
   and fan = tp.fanin in
-  for s = 0 to tp.num_gates - 1 do
+  for s = lo to hi - 1 do
     let b = Array.unsafe_get base s in
     let w =
       match Array.unsafe_get op s with

@@ -70,13 +70,19 @@ val fn_of_op : int -> Netlist.Node.gate_fn
     back any number of simulator instances over the same circuit. *)
 val compile : Netlist.Node.t -> t
 
-(** [eval_words tp ~values ~f0 ~f1] sweeps the tape once over the
-    word-per-node state [values] (each bit an independent simulation
-    lane): for every slot, in levelized order, the gate's word is
-    computed from its fanins' words and stored as
-    [(w land lnot f0.(id)) lor f1.(id)] — [f0]/[f1] are the per-node
-    stuck-at-0/1 lane masks ({!Parallel}'s stem faults; all-zero arrays
-    for fault-free evaluation).  The three arrays must have length
-    [>= num_nodes].  PI and DFF words are inputs and are not touched. *)
-val eval_words :
-  t -> values:int array -> f0:int array -> f1:int array -> unit
+(** [eval_range tp ~values ~f0 ~f1 ~lo ~hi] sweeps slots [lo .. hi - 1]
+    of the tape (none when [hi <= lo]) over the word-per-node state
+    [values] (each bit an independent simulation lane): for every slot,
+    in levelized order, the gate's word is computed from its fanins'
+    words and stored as [(w land lnot f0.(id)) lor f1.(id)] — [f0]/[f1]
+    are the per-node stuck-at-0/1 lane masks ({!Parallel}'s stem faults;
+    all-zero arrays for fault-free evaluation).  PI and DFF words are
+    inputs and are not touched, nor are slots outside the range, so a
+    caller can sweep the tape in consecutive ranges and evaluate chosen
+    slots itself in between ({!Parallel}'s pin-faulted gates); the range
+    [0 .. num_gates] is one full sweep.
+    @raise Invalid_argument if [lo < 0], [hi > num_gates] or an array is
+    shorter than [num_nodes]. *)
+val eval_range :
+  t ->
+  values:int array -> f0:int array -> f1:int array -> lo:int -> hi:int -> unit

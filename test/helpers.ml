@@ -74,12 +74,14 @@ let state_vector c ~bits code =
 
 (* A small random sequential circuit: a few PIs/DFFs/gates with random
    connectivity, always Check-clean.  The fuzz generator of the tape,
-   untestability and frames differential suites. *)
-let random_circuit rng =
+   untestability, frames and fault-simulation differential suites.
+   [scale] multiplies the ranges of the PI, DFF and gate counts; at the
+   default 1 the random draws are the historical ones. *)
+let random_circuit ?(scale = 1) rng =
   let b = Netlist.Build.create () in
-  let npis = 1 + Random.State.int rng 3 in
-  let ndffs = 1 + Random.State.int rng 4 in
-  let ngates = 4 + Random.State.int rng 9 in
+  let npis = 1 + Random.State.int rng (3 * scale) in
+  let ndffs = 1 + Random.State.int rng (4 * scale) in
+  let ngates = 4 + Random.State.int rng (9 * scale) in
   let pool = ref [] in
   for i = 0 to npis - 1 do
     pool := Netlist.Build.add_pi b (Printf.sprintf "i%d" i) :: !pool

@@ -178,15 +178,72 @@ let test_fanout_index_fuzz () =
     done
   done
 
+(* Inject the same random faults into both simulators: stems on any
+   node, gate pins, DFF data pins, in random lanes, plus pin faults on
+   the first and last slots of the tape and on two pins of one gate, so
+   the tape backend's segmented sweep meets faulted slots at both ends
+   and a gate with several overridden pins. *)
+let inject_random_faults rng c sims =
+  let tp = Sim.Tape.compile c in
+  let n = Netlist.Node.num_nodes c in
+  let lane () = Random.State.int rng Sim.Parallel.word_bits in
+  let both f = List.iter f sims in
+  let pin gate pin =
+    let lane = lane () and value = Random.State.bool rng in
+    both (fun s -> Sim.Parallel.inject_pin s ~gate ~pin ~lane ~value)
+  in
+  let arity id = Array.length (Netlist.Node.node c id).Netlist.Node.fanins in
+  let gate_of_slot s = tp.Sim.Tape.node_of_slot.(s) in
+  for _ = 1 to 1 + Random.State.int rng 12 do
+    match Random.State.int rng 3 with
+    | 0 ->
+      let node = Random.State.int rng n
+      and lane = lane ()
+      and value = Random.State.bool rng in
+      both (fun s -> Sim.Parallel.inject_stem s ~node ~lane ~value)
+    | 1 ->
+      let g = gate_of_slot (Random.State.int rng tp.Sim.Tape.num_gates) in
+      pin g (Random.State.int rng (arity g))
+    | _ ->
+      let dffs = c.Netlist.Node.dffs in
+      pin dffs.(Random.State.int rng (Array.length dffs)) 0
+  done;
+  let first = gate_of_slot 0
+  and last = gate_of_slot (tp.Sim.Tape.num_gates - 1) in
+  pin first (Random.State.int rng (arity first));
+  pin last (Random.State.int rng (arity last));
+  match
+    List.find_opt
+      (fun s -> arity (gate_of_slot s) >= 2)
+      (List.init tp.Sim.Tape.num_gates Fun.id)
+  with
+  | Some s ->
+    pin (gate_of_slot s) 0;
+    pin (gate_of_slot s) 1
+  | None -> ()
+
 let test_tape_matches_nodes_fuzz () =
   let rng = Random.State.make [| 0x7a9e; 3 |] in
   for trial = 1 to 30 do
     let c = Helpers.random_circuit rng in
     let st = Sim.Parallel.create ~backend:`Tape c in
-    let sn = Sim.Parallel.create ~backend:`Nodes c in
+    let sn = ref (Sim.Parallel.create ~backend:`Nodes c) in
     Sim.Parallel.reset st;
-    Sim.Parallel.reset sn;
+    Sim.Parallel.reset !sn;
+    inject_random_faults rng c [ st; !sn ];
     for cycle = 1 to 40 do
+      (* halfway, the tape simulator drops its faults and takes new ones,
+         as the fault simulator's reused word simulators do; the nodes
+         side starts afresh from the same state *)
+      if cycle = 21 then begin
+        let state = Sim.Parallel.get_state_words !sn in
+        Sim.Parallel.clear_faults st;
+        sn := Sim.Parallel.create ~backend:`Nodes c;
+        inject_random_faults rng c [ st; !sn ];
+        Sim.Parallel.set_state_words st state;
+        Sim.Parallel.set_state_words !sn state
+      end;
+      let sn = !sn in
       let words =
         Array.init (Netlist.Node.num_pis c) (fun _ ->
             Random.State.bits rng
@@ -197,14 +254,12 @@ let test_tape_matches_nodes_fuzz () =
       Sim.Parallel.set_input_words sn words;
       Sim.Parallel.eval_comb st;
       Sim.Parallel.eval_comb sn;
-      Array.iteri
-        (fun i id ->
-          Alcotest.(check int)
-            (Printf.sprintf "trial %d cycle %d node %d" trial cycle id)
-            (Sim.Parallel.node_word sn id)
-            (Sim.Parallel.node_word st id);
-          ignore i)
-        c.Netlist.Node.order;
+      for id = 0 to Netlist.Node.num_nodes c - 1 do
+        Alcotest.(check int)
+          (Printf.sprintf "trial %d cycle %d node %d" trial cycle id)
+          (Sim.Parallel.node_word sn id)
+          (Sim.Parallel.node_word st id)
+      done;
       Sim.Parallel.tick st;
       Sim.Parallel.tick sn;
       Alcotest.(check (list int))
@@ -213,6 +268,28 @@ let test_tape_matches_nodes_fuzz () =
         (Array.to_list (Sim.Parallel.get_state_words st))
     done
   done
+
+(* The fault simulator's inner loop — inputs, the segmented sweep with
+   pin-faulted slots, state capture, tick — allocates nothing. *)
+let test_faulted_cycle_allocates_nothing () =
+  let rng = Random.State.make [| 0x7a9e; 6 |] in
+  let c = Helpers.random_circuit ~scale:3 rng in
+  let sim = Sim.Parallel.create c in
+  inject_random_faults rng c [ sim ];
+  Sim.Parallel.reset sim;
+  let v = Array.make (Netlist.Node.num_pis c) true in
+  let cycle () =
+    Sim.Parallel.set_input_broadcast sim v;
+    Sim.Parallel.eval_comb sim;
+    Sim.Parallel.tick sim
+  in
+  cycle ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do cycle () done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words in 1000 cycles" words)
+    true (words < 64.0)
 
 (* --- engine backends, benchmark pairs ---------------------------------------- *)
 
@@ -423,4 +500,6 @@ let suite =
       test_cycles_beyond_62;
     Alcotest.test_case "fanout index is the fanin transpose (fuzz)" `Quick
       test_fanout_index_fuzz;
+    Alcotest.test_case "faulted cycle allocates nothing" `Quick
+      test_faulted_cycle_allocates_nothing;
   ]
